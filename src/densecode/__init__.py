@@ -43,7 +43,6 @@ from .bellbasis import (
     s_to_g_map,
 )
 from .protocol import (
-    Convention,
     MeasurementOutcome,
     NotABasisStateError,
     RoundTripReport,

@@ -201,9 +201,47 @@ def apply_pauli_string(k: Ket, ps: PauliString) -> Ket:
     return out
 
 
+def pauli_masks(message, n_pairs: int):
+    """(z, x) exponent masks of a message's Pauli string over the sender's rows.
+
+    Bit N-1-k of each mask is the exponent on qubit k (qubit 0 is the most
+    significant bit of a 2^N row index).  Works elementwise on integer arrays.
+    """
+    z = x = 0
+    for k in range(n_pairs):
+        z |= ((message >> (2 * k)) & 1) << (n_pairs - 1 - k)
+        x |= ((message >> (2 * k + 1)) & 1) << (n_pairs - 1 - k)
+    return z, x
+
+
+def _parity(v, bits: int):
+    """popcount(v) mod 2 for v < 2**bits; works elementwise on integer arrays."""
+    p = 0
+    for k in range(bits):
+        p ^= (v >> k) & 1
+    return p
+
+
 def s_state(message: int, n_pairs: int) -> Ket:
-    """Generalized Bell state indexed by a 2N-bit message."""
-    return apply_pauli_string(s0(n_pairs), pauli_string(message, n_pairs))
+    """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
+    string applied to s0.
+
+    As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
+    2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
+    entry [b⊕x, b] is (-1)^popcount(z & (b⊕x)) / 2^{N/2} and every other
+    entry is zero.  Built directly, without applying gates one by one.
+    """
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
+    if not 0 <= message < 4**n_pairs:
+        raise ValueError(f"message must be in [0, {4**n_pairs - 1}], got {message}")
+    z, x = pauli_masks(message, n_pairs)
+    d = 2**n_pairs
+    cols = np.arange(d)
+    rows = cols ^ x
+    amps = np.zeros(d * d, dtype=complex)
+    amps[rows * d + cols] = (1 - 2 * _parity(z & rows, n_pairs)) * d**-0.5
+    return Ket(2 * n_pairs, amps)
 
 
 @cache

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
+from functools import cache
 
 import numpy as np
 
-from .bellbasis import basis_matrix, pauli_string, s_state
+from .bellbasis import pauli_masks, pauli_string, s_state
 from .statevec import Ket
 
 DECODE_TOL = 1e-8
@@ -29,13 +29,6 @@ class MeasurementOutcome:
 
     index: int
     probability: float
-
-
-class Convention(Enum):
-    """How measured basis indices translate to classical payloads."""
-
-    CANONICAL = "canonical"  # the message index itself
-    TABLE2 = "table2"  # fixed 4-bit labels, two-pair protocol only
 
 
 # Fixed 4-bit labels the two parties agree on for g1..g16 (convention
@@ -54,12 +47,48 @@ def encode(message: int, n_pairs: int) -> Ket:
     return s_state(message, n_pairs)
 
 
+@cache
+def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables for outcome_probabilities, 8·4^N bytes each.
+
+    gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
+    order[m] is the flat position of outcome (x, z) in the transformed x-by-z
+    array for message m.
+    """
+    d = 2**n_pairs
+    c = np.arange(d)
+    gather = c * d + (c ^ c[:, None])
+    z, x = pauli_masks(np.arange(d * d), n_pairs)
+    order = x * d + z
+    gather.setflags(write=False)
+    order.setflags(write=False)
+    return gather, order
+
+
 def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
-    """|<s_j|k>|^2 for every message j, ascending."""
+    """|<s_j|k>|^2 for every message j, ascending.
+
+    With the ket read as a 2^N x 2^N matrix Ψ (sender qubits index rows),
+    <s_m|k> = 2^{-N/2} Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x] for the message's
+    Pauli masks (z, x).  So one gather G[x, c] = Ψ[c, c⊕x] followed by a
+    Walsh–Hadamard transform over c yields every overlap at once: O(N·4^N)
+    time and no 4^N x 4^N basis.  This is the CNOT + Hadamard Bell
+    measurement carried out on amplitudes.
+    """
     if k.num_qubits != 2 * n_pairs:
         raise ValueError(f"expected {2 * n_pairs} qubits, got {k.num_qubits}")
-    overlaps = basis_matrix(n_pairs).conj() @ k.amplitudes
-    return np.abs(overlaps) ** 2
+    d = 2**n_pairs
+    gather, order = _measurement_tables(n_pairs)
+    g = k.amplitudes[gather]
+    h = 1
+    while h < d:
+        pairs = g.reshape(d, -1, 2, h)
+        low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        h *= 2
+    return np.abs(g.reshape(-1)[order]) ** 2 / d
 
 
 def _inverse_cdf_sample(probs: np.ndarray, rng: np.random.Generator) -> int:

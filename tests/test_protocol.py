@@ -150,6 +150,11 @@ class TestRoundTripAll:
         assert report.message_count == 16
         assert report.failures == ()
 
+    def test_six_pair_case(self):
+        report = roundtrip_all(6)
+        assert report.message_count == 4096
+        assert report.failures == ()
+
     def test_range(self):
         with pytest.raises(ValueError):
             roundtrip_all(0)
