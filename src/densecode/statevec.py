@@ -33,6 +33,8 @@ class Ket:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**n:
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite, got NaN or infinity")
         if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_TOL:
             raise ValueError("amplitudes are not normalized")
         amps.setflags(write=False)
@@ -64,6 +66,8 @@ class DensityMatrix:
         d = m.shape[0]
         if d < 1 or d & (d - 1):
             raise ValueError(f"dimension must be a power of two, got {d}")
+        if not np.isfinite(m).all():
+            raise ValueError("entries must be finite, got NaN or infinity")
         if float(np.max(np.abs(m - m.conj().T))) > NORM_TOL:
             raise ValueError("entries are not Hermitian")
         tr = complex(np.trace(m))

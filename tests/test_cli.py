@@ -93,6 +93,15 @@ class TestCapacityCommand:
         code, _, err = run(capsys, "capacity", f"file:{path}")
         assert code == 2
 
+    def test_non_finite_state(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"num_qubits": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        code, out, err = run(capsys, "capacity", f"file:{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed state in {path}: ")
+        assert "finite" in err
+
     def test_unknown_selector(self, capsys):
         code, _, _ = run(capsys, "capacity", "nonsense")
         assert code == 2

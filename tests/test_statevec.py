@@ -47,6 +47,11 @@ class TestKet:
         with pytest.raises(ValueError):
             Ket(27, np.zeros(2**27))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Ket(1, [bad, 0])
+
     def test_amplitudes_are_read_only(self):
         k = ket_from_bits([0])
         with pytest.raises(ValueError):
@@ -261,6 +266,11 @@ class TestDensityMatrix:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
 
     def test_json_roundtrip(self):
         rho = partial_trace(g_state(9), {0, 1})
