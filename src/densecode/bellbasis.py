@@ -132,6 +132,16 @@ def ghz4() -> Ket:
     return ghz_family(GhzLabel.GHZ_PLUS)
 
 
+def _check_pairs(n_pairs: int) -> None:
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
+
+
+def _check_message(message: int, n_pairs: int) -> None:
+    if not 0 <= message < 4**n_pairs:
+        raise ValueError(f"message must be in [0, {4**n_pairs - 1}], got {message}")
+
+
 def s0(n_pairs: int) -> Ket:
     """Shared resource state for ``n_pairs`` transmitted qubits.
 
@@ -139,8 +149,7 @@ def s0(n_pairs: int) -> Ket:
     pattern with the identical receiver pattern; for one pair this is
     Phi+ and for two pairs it is g1.
     """
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
+    _check_pairs(n_pairs)
     d = 2**n_pairs
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = d**-0.5
@@ -180,8 +189,7 @@ def pauli_string(message: int, n_pairs: int) -> PauliString:
     Counting bits of the message from the right, bit 2k-2 is the Z exponent
     and bit 2k-1 the X exponent on (1-indexed) qubit k.
     """
-    if not 0 <= message < 4**n_pairs:
-        raise ValueError(f"message must be in [0, {4**n_pairs - 1}], got {message}")
+    _check_message(message, n_pairs)
     factors = tuple(
         ((message >> (2 * k)) & 1, (message >> (2 * k + 1)) & 1) for k in range(n_pairs)
     )
@@ -231,10 +239,8 @@ def s_state(message: int, n_pairs: int) -> Ket:
     entry [b⊕x, b] is (-1)^popcount(z & (b⊕x)) / 2^{N/2} and every other
     entry is zero.  Built directly, without applying gates one by one.
     """
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
-    if not 0 <= message < 4**n_pairs:
-        raise ValueError(f"message must be in [0, {4**n_pairs - 1}], got {message}")
+    _check_pairs(n_pairs)
+    _check_message(message, n_pairs)
     z, x = pauli_masks(message, n_pairs)
     d = 2**n_pairs
     cols = np.arange(d)
@@ -246,7 +252,10 @@ def s_state(message: int, n_pairs: int) -> Ket:
 
 @cache
 def basis_matrix(n_pairs: int) -> np.ndarray:
-    """All 4**n_pairs generalized Bell states as rows, message index ascending."""
+    """All 4**n_pairs generalized Bell states as rows, message index ascending.
+
+    A dense reference for tests: the protocol measures without it.
+    """
     if not 1 <= n_pairs <= MAX_BASIS_PAIRS:
         raise ValueError(
             f"full-basis enumeration supports n_pairs in [1, {MAX_BASIS_PAIRS}], got {n_pairs}"

@@ -49,7 +49,7 @@ def encode(message: int, n_pairs: int) -> Ket:
 
 @cache
 def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for outcome_probabilities, 8·4^N bytes each.
+    """Index tables for outcome_probabilities, one integer per amplitude each.
 
     gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
     order[m] is the flat position of outcome (x, z) in the transformed x-by-z
