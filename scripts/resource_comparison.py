@@ -12,7 +12,6 @@ from densecode import (
     ghz4,
     ket_from_bits,
     orthogonal_orbit_count,
-    pure_density,
     s0,
 )
 
@@ -20,7 +19,7 @@ from densecode import (
 def audit(name, state, alice_qubits):
     d_a = 2**alice_qubits
     bob = 2 ** (state.num_qubits - alice_qubits)
-    report = dense_coding_capacity(pure_density(state), d_a, bob)
+    report = dense_coding_capacity(state, d_a, bob)
     orbit = orthogonal_orbit_count(state, alice_qubits)
     print(
         f"{name:<10} orbit {orbit:>4}  S_B {report.entropy_B:>4.1f}  "

@@ -16,6 +16,12 @@ EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
 ORTHOGONALITY_TOL = 1e-8
 
 
+def _entropy_bits(probabilities) -> float:
+    """-sum(p * log2 p) in bits; entries at or below EIGENVALUE_FLOOR count as zero."""
+    s = -sum(float(p) * math.log2(p) for p in probabilities if p > EIGENVALUE_FLOOR)
+    return max(0.0, s)
+
+
 def von_neumann_entropy(m: DensityMatrix | np.ndarray) -> float:
     """S = -sum(p * log2 p) over the eigenvalues, in bits."""
     if not isinstance(m, DensityMatrix):
@@ -23,8 +29,7 @@ def von_neumann_entropy(m: DensityMatrix | np.ndarray) -> float:
     eigs = hermitian_eigenvalues(m)
     if eigs[-1] < -1e-10:
         raise ValueError(f"negative eigenvalue {eigs[-1]}; not a density matrix")
-    s = -sum(float(p) * math.log2(p) for p in eigs if p > EIGENVALUE_FLOOR)
-    return max(0.0, s)
+    return _entropy_bits(eigs)
 
 
 def holevo_bound(d: int) -> float:
@@ -69,21 +74,30 @@ class CapacityReport:
         )
 
 
-def dense_coding_capacity(rho_ab: DensityMatrix, d_a: int, bob_dims: int) -> CapacityReport:
+def dense_coding_capacity(
+    state: Ket | DensityMatrix, d_a: int, bob_dims: int
+) -> CapacityReport:
     """chi = log2(d_A) + S(rho_B) - S(rho_AB) for the given bipartition.
 
     The sender's subsystem is the left (more significant) tensor factor;
-    ``bob_dims`` is passed explicitly because a flat matrix does not
-    describe its own split.
+    ``bob_dims`` is passed explicitly because a flat vector or matrix does
+    not describe its own split.  A ``Ket`` is pure, so S(rho_AB) = 0 and
+    S(rho_B) is the entropy of its squared Schmidt coefficients: one SVD of
+    the d_A x bob_dims amplitude matrix, no d x d matrix.  A
+    ``DensityMatrix`` takes both entropies from eigenvalues.
     """
-    if d_a < 1 or bob_dims < 1 or d_a * bob_dims != rho_ab.dim:
-        raise ValueError(
-            f"bipartition {d_a} x {bob_dims} does not match dimension {rho_ab.dim}"
-        )
-    rho4 = rho_ab.entries.reshape(d_a, bob_dims, d_a, bob_dims)
-    rho_b = np.trace(rho4, axis1=0, axis2=2)
-    s_b = von_neumann_entropy(DensityMatrix(rho_b))
-    s_ab = von_neumann_entropy(rho_ab)
+    dim = 2**state.num_qubits if isinstance(state, Ket) else state.dim
+    if d_a < 1 or bob_dims < 1 or d_a * bob_dims != dim:
+        raise ValueError(f"bipartition {d_a} x {bob_dims} does not match dimension {dim}")
+    if isinstance(state, Ket):
+        schmidt = np.linalg.svd(state.amplitudes.reshape(d_a, bob_dims), compute_uv=False)
+        s_b = _entropy_bits(schmidt**2)
+        s_ab = 0.0
+    else:
+        rho4 = state.entries.reshape(d_a, bob_dims, d_a, bob_dims)
+        rho_b = np.trace(rho4, axis1=0, axis2=2)
+        s_b = von_neumann_entropy(DensityMatrix(rho_b))
+        s_ab = von_neumann_entropy(state)
     return CapacityReport(
         d_A=d_a,
         entropy_B=_sig12(s_b),

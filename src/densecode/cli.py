@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bellbasis, capacity, protocol
 from .bellbasis import BellLabel
-from .statevec import Ket, equal_up_to_global_phase, pure_density
+from .statevec import Ket, equal_up_to_global_phase
 
 DEFAULT_SEED = 0x5DC0DE
 MAX_EMIT_PAIRS = 4  # basis emission cap: 4**4 states
@@ -187,7 +187,7 @@ def cmd_capacity(config: CliConfig, selector: str, d_a_flag: int | None) -> int:
     dim = 2**state.num_qubits
     if d_a < 1 or dim % d_a:
         raise UsageError(f"--d-a {d_a} does not divide the state dimension {dim}")
-    report = capacity.dense_coding_capacity(pure_density(state), d_a, dim // d_a)
+    report = capacity.dense_coding_capacity(state, d_a, dim // d_a)
     _emit_json(report.to_dict(), config.out)
     return 0
 
@@ -233,7 +233,7 @@ def cmd_ghz_compare(config: CliConfig) -> int:
     ghz = bellbasis.ghz4()
     result = {}
     for name, state in (("g1", g1), ("ghz", ghz)):
-        report = capacity.dense_coding_capacity(pure_density(state), 4, 4)
+        report = capacity.dense_coding_capacity(state, 4, 4)
         result[name] = {
             "orbit": capacity.orthogonal_orbit_count(state, 2),
             "chi": report.chi,
@@ -249,35 +249,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=int, default=None, help="transmitted qubits per message")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit PRNG seed")
+    # --n, --format and --seed go only on the subcommands that read them
+    def add_n(p):
+        p.add_argument("--n", type=int, default=None, help="transmitted qubits per message")
+
+    def add_format(p):
         p.add_argument("--format", choices=("json", "table"), default="table")
+
+    def add_out(p):
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("basis", help="emit the generalized Bell basis states")
-    common(p)
+    add_n(p)
+    add_format(p)
+    add_out(p)
 
     p = sub.add_parser("roundtrip", help="encode and decode every message")
-    common(p)
+    add_n(p)
+    add_out(p)
 
     p = sub.add_parser("capacity", help="dense-coding capacity report for a state")
     p.add_argument("selector", help="g1, ghz4, s0:N or file:PATH (ket JSON)")
     p.add_argument("--d-a", type=int, default=None, help="sender subsystem dimension")
-    common(p, with_n=False)
+    add_out(p)
 
     p = sub.add_parser("factorize", help="Bell-pair decomposition of all 16 g-states")
-    common(p, with_n=False)
+    add_format(p)
+    add_out(p)
 
     p = sub.add_parser("session", help="simulate a sender->receiver session")
     p.add_argument("messages", type=int, nargs="*", help="explicit message values")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="draw COUNT seeded random messages instead")
-    common(p)
+    add_n(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit PRNG seed")
+    add_out(p)
 
     p = sub.add_parser("ghz-compare", help="orbit sizes and capacities: g1 vs GHZ")
-    common(p, with_n=False)
+    add_out(p)
 
     return parser
 
@@ -292,9 +301,9 @@ def main(argv=None) -> int:
     config = CliConfig(
         subcommand=args.subcommand,
         n_pairs=getattr(args, "n", None),
-        seed=args.seed,
+        seed=getattr(args, "seed", DEFAULT_SEED),
         out=args.out,
-        fmt=args.format,
+        fmt=getattr(args, "format", "table"),
     )
     try:
         if args.subcommand == "basis":

@@ -199,6 +199,8 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     a = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite, got NaN or infinity")
     if float(np.max(np.abs(a - a.conj().T))) > NORM_TOL:
         raise ValueError("matrix is not Hermitian")
     a = np.array(a, dtype=complex)

@@ -105,6 +105,26 @@ class TestDenseCodingCapacity:
             s_b = von_neumann_entropy(partial_trace(k, {2, 3}))
             assert abs(s_a - s_b) < 1e-9
 
+    @pytest.mark.parametrize("num_qubits", range(2, 9))
+    def test_ket_path_matches_density_path(self, num_qubits):
+        rng = np.random.default_rng(31 + num_qubits)
+        k = random_ket(rng, num_qubits)
+        rho = pure_density(k)
+        dim = 2**num_qubits
+        for d_a in (2**j for j in range(num_qubits + 1)):
+            fast = dense_coding_capacity(k, d_a, dim // d_a)
+            slow = dense_coding_capacity(rho, d_a, dim // d_a)
+            assert fast.entropy_AB == 0.0
+            assert fast.d_A == slow.d_A and fast.holevo == slow.holevo
+            assert abs(fast.entropy_B - slow.entropy_B) < 1e-9
+            assert abs(fast.chi - slow.chi) < 1e-9
+
+    def test_ket_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="bipartition"):
+            dense_coding_capacity(g_state(1), 8, 4)
+        with pytest.raises(ValueError, match="bipartition"):
+            dense_coding_capacity(g_state(1), 0, 16)
+
     def test_consistency_on_random_pure_states(self):
         rng = np.random.default_rng(29)
         for _ in range(100):

@@ -74,6 +74,15 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out)["chi"] == pytest.approx(2.0)
 
+    def test_s0_eight_pairs_without_a_dense_density_matrix(self, capsys):
+        # |s0><s0| on 16 qubits would be a 64 GiB matrix; the Schmidt path needs 1 MiB
+        code, out, _ = run(capsys, "capacity", "s0:8")
+        assert code == 0
+        data = json.loads(out)
+        assert data["S_B"] == 8.0
+        assert data["S_AB"] == 0.0
+        assert data["chi"] == 16.0
+
     def test_file_selector(self, capsys, tmp_path):
         path = tmp_path / "phiplus.json"
         path.write_text(json.dumps(bell(BellLabel.PHI_PLUS).to_dict()))
@@ -179,6 +188,26 @@ class TestCommonBehavior:
     def test_usage_error_exit_code(self, capsys):
         assert run(capsys, "no-such-command")[0] == 2
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "--n", "1", "--format", "json"],
+            ["capacity", "g1", "--format", "table"],
+            ["session", "--n", "1", "0", "--format", "json"],
+            ["ghz-compare", "--format", "json"],
+            ["basis", "--n", "1", "--seed", "1"],
+            ["roundtrip", "--n", "1", "--seed", "1"],
+            ["capacity", "g1", "--seed", "1"],
+            ["factorize", "--seed", "1"],
+            ["ghz-compare", "--seed", "1"],
+        ],
+    )
+    def test_flags_a_subcommand_ignores_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_basis_message_labels_follow_computed_mapping(self, capsys):
         _, out, _ = run(capsys, "basis", "--n", "2", "--format", "json")

@@ -225,6 +225,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.array([[bad, 0], [0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(m)
+
     def test_eigenvalue_sum_matches_trace(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
