@@ -213,13 +213,13 @@ def pauli_masks(message, n_pairs: int):
     """(z, x) exponent masks of a message's Pauli string over the sender's rows.
 
     Bit N-1-k of each mask is the exponent on qubit k (qubit 0 is the most
-    significant bit of a 2^N row index).  Works elementwise on integer arrays.
+    significant bit of a 2^N row index).  Works elementwise on integer arrays
+    and returns numpy integers.
     """
-    z = x = 0
-    for k in range(n_pairs):
-        z |= ((message >> (2 * k)) & 1) << (n_pairs - 1 - k)
-        x |= ((message >> (2 * k + 1)) & 1) << (n_pairs - 1 - k)
-    return z, x
+    k = np.arange(n_pairs)
+    pair_bits = np.asarray(message)[..., None] >> 2 * k  # qubit k's (z, x) in bits 0, 1
+    weights = 1 << (n_pairs - 1 - k)
+    return ((pair_bits & 1) * weights).sum(-1), ((pair_bits >> 1 & 1) * weights).sum(-1)
 
 
 def _parity(v, bits: int):
@@ -230,9 +230,9 @@ def _parity(v, bits: int):
     return p
 
 
-def s_state(message: int, n_pairs: int) -> Ket:
-    """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
-    string applied to s0.
+def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
+    """Amplitudes of the generalized Bell state of each message, one row each:
+    a (len(messages), 4**n_pairs) array.
 
     As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
     2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
@@ -240,14 +240,26 @@ def s_state(message: int, n_pairs: int) -> Ket:
     entry is zero.  Built directly, without applying gates one by one.
     """
     _check_pairs(n_pairs)
-    _check_message(message, n_pairs)
-    z, x = pauli_masks(message, n_pairs)
+    messages = np.asarray(messages, dtype=np.int64).reshape(-1)
+    bad = (messages < 0) | (messages >= 4**n_pairs)
+    if bad.any():
+        _check_message(int(messages[bad][0]), n_pairs)
+    z, x = pauli_masks(messages[:, None], n_pairs)
     d = 2**n_pairs
     cols = np.arange(d)
     rows = cols ^ x
-    amps = np.zeros(d * d, dtype=complex)
-    amps[rows * d + cols] = (1 - 2 * _parity(z & rows, n_pairs)) * d**-0.5
-    return Ket(2 * n_pairs, amps)
+    amps = np.zeros((messages.size, d * d), dtype=complex)
+    flat = (np.arange(messages.size)[:, None] * d + rows) * d + cols
+    amps.reshape(-1)[flat] = (1 - 2 * _parity(z & rows, n_pairs)) * d**-0.5
+    return amps
+
+
+def s_state(message: int, n_pairs: int) -> Ket:
+    """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
+    string applied to s0 (see encoded_amplitudes)."""
+    _check_pairs(n_pairs)
+    _check_message(message, n_pairs)
+    return Ket(2 * n_pairs, encoded_amplitudes([message], n_pairs)[0])
 
 
 @cache

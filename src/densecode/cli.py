@@ -140,10 +140,18 @@ def cmd_basis(config: CliConfig) -> int:
     return 0
 
 
-def cmd_roundtrip(config: CliConfig) -> int:
+def _protocol_pairs(config: CliConfig, command: str) -> int:
     n = config.n_pairs
-    if n is None or not 1 <= n <= 6:
-        raise UsageError("roundtrip requires --n between 1 and 6")
+    if n is None or not 1 <= n <= protocol.MAX_PROTOCOL_PAIRS:
+        raise UsageError(
+            f"{command} requires --n between 1 and {protocol.MAX_PROTOCOL_PAIRS} "
+            f"(MAX_PROTOCOL_PAIRS), got {n}"
+        )
+    return n
+
+
+def cmd_roundtrip(config: CliConfig) -> int:
+    n = _protocol_pairs(config, "roundtrip")
     report = protocol.roundtrip_all(n)
     _emit(
         f"{2 * n} bits via {n} qubits: {report.message_count} messages round-tripped, "
@@ -210,9 +218,7 @@ def cmd_factorize(config: CliConfig) -> int:
 
 
 def cmd_session(config: CliConfig, messages: list[int] | None, random_count: int | None) -> int:
-    n = config.n_pairs
-    if n is None or not 1 <= n <= 6:
-        raise UsageError("session requires --n between 1 and 6")
+    n = _protocol_pairs(config, "session")
     if (messages is None or not messages) == (random_count is None):
         raise UsageError("pass either explicit messages or --random COUNT")
     if random_count is not None:

@@ -13,10 +13,17 @@ from functools import cache
 
 import numpy as np
 
-from .bellbasis import pauli_masks, pauli_string, s_state
-from .statevec import Ket
+from .bellbasis import MAX_PAIRS, encoded_amplitudes, pauli_masks, pauli_string, s_state
+from .statevec import Ket, check_amplitudes
 
 DECODE_TOL = 1e-8
+MAX_PROTOCOL_PAIRS = 6  # cap on roundtrip_all and the roundtrip/session commands
+# Messages are encoded and measured in blocks of this many amplitudes (128 KiB
+# of complex data per array), so numpy's per-call overhead is paid once per
+# block.  2**14 was no faster on a 2-core box, because its freed 256 KiB arrays
+# went back to the OS and were page-faulted in again every block, and it
+# raised peak RSS more.
+BLOCK_AMPLITUDES = 2**13
 
 
 class NotABasisStateError(ValueError):
@@ -47,48 +54,73 @@ def encode(message: int, n_pairs: int) -> Ket:
     return s_state(message, n_pairs)
 
 
+def _blocks(count: int, n_pairs: int):
+    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES // 4**N
+    rows (at least one row per block)."""
+    rows = max(1, BLOCK_AMPLITUDES >> 2 * n_pairs)
+    return (slice(start, start + rows) for start in range(0, count, rows))
+
+
+def _checked_encoding(messages, n_pairs: int) -> np.ndarray:
+    """encoded_amplitudes of a block, put through the checks a Ket applies."""
+    amps = encoded_amplitudes(messages, n_pairs)
+    check_amplitudes(amps)
+    return amps
+
+
 @cache
 def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for outcome_probabilities, one integer per amplitude each.
+    """Index tables for _bell_probabilities, one integer per amplitude each.
 
-    gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
-    order[m] is the flat position of outcome (x, z) in the transformed x-by-z
-    array for message m.
+    gather[c, x] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
+    order[m] is the flat position of outcome (z, x) in the transformed
+    z-by-x array for message m.
     """
     d = 2**n_pairs
     c = np.arange(d)
-    gather = c * d + (c ^ c[:, None])
+    gather = c[:, None] * d + (c[:, None] ^ c)
     z, x = pauli_masks(np.arange(d * d), n_pairs)
-    order = x * d + z
+    order = z * d + x
     gather.setflags(write=False)
     order.setflags(write=False)
     return gather, order
 
 
-def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
-    """|<s_j|k>|^2 for every message j, ascending.
+def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
+    of a (B, 4**n_pairs) stack of kets.
 
-    With the ket read as a 2^N x 2^N matrix Ψ (sender qubits index rows),
-    <s_m|k> = 2^{-N/2} Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x] for the message's
-    Pauli masks (z, x).  So one gather G[x, c] = Ψ[c, c⊕x] followed by a
+    With a ket read as a 2^N x 2^N matrix Ψ (sender qubits index rows),
+    <s_m|ψ> = 2^{-N/2} Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x] for the message's
+    Pauli masks (z, x).  So one gather G[b, c, x] = Ψ_b[c, c⊕x] followed by a
     Walsh–Hadamard transform over c yields every overlap at once: O(N·4^N)
-    time and no 4^N x 4^N basis.  This is the CNOT + Hadamard Bell
-    measurement carried out on amplitudes.
+    time per row and no 4^N x 4^N basis.  With x the fastest axis, every
+    butterfly stage works on contiguous runs of at least 2^N amplitudes.
+    This is the CNOT + Hadamard Bell measurement carried out on amplitudes.
     """
-    if k.num_qubits != 2 * n_pairs:
-        raise ValueError(f"expected {2 * n_pairs} qubits, got {k.num_qubits}")
+    rows = len(amps)
     d = 2**n_pairs
     gather, order = _measurement_tables(n_pairs)
-    g = k.amplitudes[gather]
+    g = np.take(amps, gather, axis=1)
     h = 1
     while h < d:
-        pairs = g.reshape(d, -1, 2, h)
-        low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        pairs = g.reshape(rows, d // (2 * h), 2, h * d)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
         diff = low - high
         low += high
         high[...] = diff
         h *= 2
-    return np.abs(g.reshape(-1)[order]) ** 2 / d
+    probs = np.abs(g.reshape(rows, d * d))
+    probs **= 2
+    probs /= d
+    return np.take(probs, order, axis=1)
+
+
+def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
+    """|<s_j|k>|^2 for every message j, ascending (see _bell_probabilities)."""
+    if k.num_qubits != 2 * n_pairs:
+        raise ValueError(f"expected {2 * n_pairs} qubits, got {k.num_qubits}")
+    return _bell_probabilities(k.amplitudes[None], n_pairs)[0]
 
 
 def _inverse_cdf_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -97,19 +129,22 @@ def _inverse_cdf_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(np.searchsorted(cdf, u, side="right"), len(probs) - 1))
 
 
-def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutcome:
-    """Projective measurement in the generalized Bell basis.
-
-    Sampling is inverse-CDF over outcomes in ascending index order from a
-    seeded 64-bit PRNG, so a fixed seed and input give a fixed outcome.
-    """
-    probs = outcome_probabilities(k, n_pairs)
+def _sample_outcome(probs: np.ndarray, seed: int) -> MeasurementOutcome:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total}; input is not normalized")
     rng = np.random.default_rng(seed)
     index = _inverse_cdf_sample(probs, rng)
     return MeasurementOutcome(index, float(probs[index]))
+
+
+def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutcome:
+    """Projective measurement in the generalized Bell basis.
+
+    Sampling is inverse-CDF over outcomes in ascending index order from a
+    seeded 64-bit PRNG, so a fixed seed and input give a fixed outcome.
+    """
+    return _sample_outcome(outcome_probabilities(k, n_pairs), seed)
 
 
 def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarray:
@@ -121,15 +156,20 @@ def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarr
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
 
 
+def _readout(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most likely outcome of each row of a (B, 4**N) stack and its probability."""
+    best = np.argmax(probs, axis=1)
+    return best, probs[np.arange(len(probs)), best]
+
+
 def decode(k: Ket, n_pairs: int) -> int:
     """Deterministic readout of a basis state; no sampling involved."""
-    probs = outcome_probabilities(k, n_pairs)
-    best = int(np.argmax(probs))
-    if probs[best] < 1.0 - DECODE_TOL:
+    (best,), (p,) = _readout(outcome_probabilities(k, n_pairs)[None])
+    if p < 1.0 - DECODE_TOL:
         raise NotABasisStateError(
-            f"best overlap probability {probs[best]:.9f} is below {1.0 - DECODE_TOL}"
+            f"best overlap probability {p:.9f} is below {1.0 - DECODE_TOL}"
         )
-    return best
+    return int(best)
 
 
 def table2_encode(bits: str) -> int:
@@ -158,18 +198,27 @@ class RoundTripReport:
 
 
 def roundtrip_all(n_pairs: int) -> RoundTripReport:
-    """Encode and decode every message; a noiseless channel must never fail."""
-    if not 1 <= n_pairs <= 6:
-        raise ValueError(f"n_pairs must be in [1, 6], got {n_pairs}")
-    failures = tuple(
-        m for m in range(4**n_pairs) if decode(encode(m, n_pairs), n_pairs) != m
-    )
+    """Encode and decode every message; a noiseless channel must never fail.
+
+    Messages go through in blocks of BLOCK_AMPLITUDES amplitudes.  A message
+    that decodes to another one, or to no basis state with certainty, is
+    listed in ``failures``.
+    """
+    if not 1 <= n_pairs <= MAX_PROTOCOL_PAIRS:
+        raise ValueError(f"n_pairs must be in [1, {MAX_PROTOCOL_PAIRS}], got {n_pairs}")
+    messages = np.arange(4**n_pairs)
+    best = np.empty_like(messages)
+    p = np.empty(messages.size)
+    for block in _blocks(messages.size, n_pairs):
+        amps = _checked_encoding(messages[block], n_pairs)
+        best[block], p[block] = _readout(_bell_probabilities(amps, n_pairs))
+    failures = np.flatnonzero((best != messages) | (p < 1.0 - DECODE_TOL))
     return RoundTripReport(
         n_pairs=n_pairs,
         message_count=4**n_pairs,
         qubits_per_message=n_pairs,
         bits_per_qubit=2.0,
-        failures=failures,
+        failures=tuple(failures.tolist()),
     )
 
 
@@ -236,27 +285,32 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     Every step consumes a fresh shared resource state.  "Sending" the N
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
-    data.  Per-step measurement seeds come from one master PRNG, keeping
-    whole transcripts reproducible from the session seed.
+    data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES
+    amplitudes; per-step measurement seeds come from one master PRNG, in
+    message order, keeping whole transcripts reproducible from the session
+    seed.
     """
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
     messages = list(messages)
     for m in messages:
         if not 0 <= m < 4**n_pairs:
             raise ValueError(f"message {m} out of range for n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
     steps = []
-    for m in messages:
-        ps = pauli_string(m, n_pairs)
-        prepared = encode(m, n_pairs)
-        step_seed = int(rng.integers(0, 2**63))
-        outcome = measure_generalized_bell(prepared, n_pairs, step_seed)
-        steps.append(
-            TranscriptStep(
-                message=m,
-                pauli=ps.tokens(),
-                qubits_sent=n_pairs,
-                outcome=outcome.index,
-                success=outcome.index == m,
+    for block in _blocks(len(messages), n_pairs):
+        sent = messages[block]
+        probs = _bell_probabilities(_checked_encoding(sent, n_pairs), n_pairs)
+        for m, row in zip(sent, probs):
+            step_seed = int(rng.integers(0, 2**63))
+            outcome = _sample_outcome(row, step_seed)
+            steps.append(
+                TranscriptStep(
+                    message=m,
+                    pauli=pauli_string(m, n_pairs).tokens(),
+                    qubits_sent=n_pairs,
+                    outcome=outcome.index,
+                    success=outcome.index == m,
+                )
             )
-        )
     return Transcript(n_pairs, seed, tuple(steps))
