@@ -213,13 +213,13 @@ def pauli_masks(message, n_pairs: int):
     """(z, x) exponent masks of a message's Pauli string over the sender's rows.
 
     Bit N-1-k of each mask is the exponent on qubit k (qubit 0 is the most
-    significant bit of a 2^N row index).  Works elementwise on integer arrays
-    and returns numpy integers.
+    significant bit of a 2^N row index).  Works elementwise on integer arrays.
     """
-    k = np.arange(n_pairs)
-    pair_bits = np.asarray(message)[..., None] >> 2 * k  # qubit k's (z, x) in bits 0, 1
-    weights = 1 << (n_pairs - 1 - k)
-    return ((pair_bits & 1) * weights).sum(-1), ((pair_bits >> 1 & 1) * weights).sum(-1)
+    z = x = 0
+    for k in range(n_pairs):
+        z |= ((message >> (2 * k)) & 1) << (n_pairs - 1 - k)
+        x |= ((message >> (2 * k + 1)) & 1) << (n_pairs - 1 - k)
+    return z, x
 
 
 def _parity(v, bits: int):
@@ -240,10 +240,13 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     entry is zero.  Built directly, without applying gates one by one.
     """
     _check_pairs(n_pairs)
-    messages = np.asarray(messages, dtype=np.int64).reshape(-1)
+    messages = np.asarray(messages).reshape(-1)
+    if messages.size and messages.dtype.kind not in "iu":
+        raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
     bad = (messages < 0) | (messages >= 4**n_pairs)
     if bad.any():
         _check_message(int(messages[bad][0]), n_pairs)
+    messages = messages.astype(np.int64)
     z, x = pauli_masks(messages[:, None], n_pairs)
     d = 2**n_pairs
     cols = np.arange(d)

@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .bellbasis import MAX_PAIRS, encoded_amplitudes, pauli_masks, pauli_string, s_state
+from .bellbasis import _check_pairs, encoded_amplitudes, pauli_masks, pauli_string, s_state
 from .statevec import Ket, check_amplitudes
 
 DECODE_TOL = 1e-8
@@ -156,20 +156,15 @@ def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarr
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
 
 
-def _readout(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Most likely outcome of each row of a (B, 4**N) stack and its probability."""
-    best = np.argmax(probs, axis=1)
-    return best, probs[np.arange(len(probs)), best]
-
-
 def decode(k: Ket, n_pairs: int) -> int:
     """Deterministic readout of a basis state; no sampling involved."""
-    (best,), (p,) = _readout(outcome_probabilities(k, n_pairs)[None])
-    if p < 1.0 - DECODE_TOL:
+    probs = outcome_probabilities(k, n_pairs)
+    best = int(np.argmax(probs))
+    if probs[best] < 1.0 - DECODE_TOL:
         raise NotABasisStateError(
-            f"best overlap probability {p:.9f} is below {1.0 - DECODE_TOL}"
+            f"best overlap probability {probs[best]:.9f} is below {1.0 - DECODE_TOL}"
         )
-    return int(best)
+    return best
 
 
 def table2_encode(bits: str) -> int:
@@ -211,7 +206,9 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     p = np.empty(messages.size)
     for block in _blocks(messages.size, n_pairs):
         amps = _checked_encoding(messages[block], n_pairs)
-        best[block], p[block] = _readout(_bell_probabilities(amps, n_pairs))
+        probs = _bell_probabilities(amps, n_pairs)
+        best[block] = probs.argmax(axis=1)
+        p[block] = probs.max(axis=1)
     failures = np.flatnonzero((best != messages) | (p < 1.0 - DECODE_TOL))
     return RoundTripReport(
         n_pairs=n_pairs,
@@ -290,8 +287,7 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     message order, keeping whole transcripts reproducible from the session
     seed.
     """
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
+    _check_pairs(n_pairs)
     messages = list(messages)
     for m in messages:
         if not 0 <= m < 4**n_pairs:

@@ -59,6 +59,18 @@ def test_encoded_amplitudes_rejects_out_of_range_messages():
     assert encoded_amplitudes([], 2).shape == (0, 16)
 
 
+def test_non_integer_messages_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="messages must be integers"):
+        s_state(1.5, 1)
+    with pytest.raises(ValueError, match="messages must be integers"):
+        encoded_amplitudes([1.5], 1)
+    with pytest.raises(ValueError, match="messages must be integers"):
+        encoded_amplitudes(np.array([0.0, 1.0]), 1)
+    # a uint8 message must not overflow when its masks are shifted up to bit 8
+    small = np.array([1], dtype=np.uint8)
+    assert np.array_equal(encoded_amplitudes(small, 9)[0], s_state(1, 9).amplitudes)
+
+
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_blocks_cover_every_message_once(n):
     count = 4**n + 3  # a ragged last block
