@@ -222,22 +222,37 @@ def pauli_masks(message, n_pairs: int):
     return z, x
 
 
-def _parity(v, bits: int):
-    """popcount(v) mod 2 for v < 2**bits; works elementwise on integer arrays."""
-    p = 0
-    for k in range(bits):
-        p ^= (v >> k) & 1
-    return p
+@cache
+def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables for encoded_amplitudes, 2**n_pairs entries each.
+
+    low[:, v] and high[:, v] are the stacked (z, x) masks contributed by a
+    message's low and high N bits equal to v, so a message's masks are
+    low[:, m & (d-1)] | high[:, m >> N].  signs[v] is (-1)^popcount(v) / 2^{N/2},
+    the nonzero amplitude for the sign pattern v.
+    """
+    d = 2**n_pairs
+    half = np.arange(d)
+    low = np.array(pauli_masks(half, n_pairs))
+    high = np.array(pauli_masks(half << n_pairs, n_pairs))
+    parity = np.zeros(d, dtype=np.int64)
+    for k in range(n_pairs):
+        parity ^= (half >> k) & 1
+    signs = (1 - 2 * parity) * d**-0.5
+    for table in (low, high, signs):
+        table.setflags(write=False)
+    return low, high, signs
 
 
 def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     """Amplitudes of the generalized Bell state of each message, one row each:
-    a (len(messages), 4**n_pairs) array.
+    a (len(messages), 4**n_pairs) float64 array.
 
     As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
     2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
     entry [b⊕x, b] is (-1)^popcount(z & (b⊕x)) / 2^{N/2} and every other
-    entry is zero.  Built directly, without applying gates one by one.
+    entry is zero.  Built directly, without applying gates one by one, and
+    real, since every amplitude is.
     """
     _check_pairs(n_pairs)
     messages = np.asarray(messages).reshape(-1)
@@ -247,13 +262,14 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     if bad.any():
         _check_message(int(messages[bad][0]), n_pairs)
     messages = messages.astype(np.int64)
-    z, x = pauli_masks(messages[:, None], n_pairs)
     d = 2**n_pairs
+    low, high, signs = _encoding_tables(n_pairs)
+    z, x = (low[:, messages & (d - 1)] | high[:, messages >> n_pairs])[..., None]
     cols = np.arange(d)
     rows = cols ^ x
-    amps = np.zeros((messages.size, d * d), dtype=complex)
+    amps = np.zeros((messages.size, d * d))
     flat = (np.arange(messages.size)[:, None] * d + rows) * d + cols
-    amps.reshape(-1)[flat] = (1 - 2 * _parity(z & rows, n_pairs)) * d**-0.5
+    amps.reshape(-1)[flat] = signs[z & rows]
     return amps
 
 

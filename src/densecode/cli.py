@@ -1,7 +1,7 @@
 """Command-line front end: basis emission, protocol round trips, capacity
 audits, factorization tables, and reproducible session transcripts.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure or internal fault, 2 usage error.
 """
 
 from __future__ import annotations
@@ -150,9 +150,19 @@ def _protocol_pairs(config: CliConfig, command: str) -> int:
     return n
 
 
+def _fault(exc: ValueError) -> int:
+    """Report a ValueError raised after the arguments were checked: a failure
+    of the program (exit 1), not a usage error."""
+    sys.stderr.write(f"error: {exc}\n")
+    return 1
+
+
 def cmd_roundtrip(config: CliConfig) -> int:
     n = _protocol_pairs(config, "roundtrip")
-    report = protocol.roundtrip_all(n)
+    try:
+        report = protocol.roundtrip_all(n)
+    except ValueError as exc:
+        return _fault(exc)
     _emit(
         f"{2 * n} bits via {n} qubits: {report.message_count} messages round-tripped, "
         f"{report.bits_per_qubit} bits per qubit, {len(report.failures)} failures\n",
@@ -226,10 +236,13 @@ def cmd_session(config: CliConfig, messages: list[int] | None, random_count: int
             raise UsageError("--random count must be nonnegative")
         rng = np.random.default_rng(config.seed)
         messages = [int(m) for m in rng.integers(0, 4**n, size=random_count)]
+    for m in messages:
+        if not 0 <= m < 4**n:
+            raise UsageError(f"message {m} out of range for n_pairs={n}")
     try:
         transcript = protocol.session(n, messages, config.seed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return _fault(exc)
     _emit(transcript.to_json(), config.out)
     return 0
 

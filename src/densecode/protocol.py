@@ -19,11 +19,11 @@ from .statevec import Ket, check_amplitudes
 DECODE_TOL = 1e-8
 MAX_PROTOCOL_PAIRS = 6  # cap on roundtrip_all and the roundtrip/session commands
 # Messages are encoded and measured in blocks of this many amplitudes (128 KiB
-# of complex data per array), so numpy's per-call overhead is paid once per
-# block.  2**14 was no faster on a 2-core box, because its freed 256 KiB arrays
-# went back to the OS and were page-faulted in again every block, and it
-# raised peak RSS more.
-BLOCK_AMPLITUDES = 2**13
+# of float64 per array), so numpy's per-call overhead is paid once per block.
+BLOCK_AMPLITUDES = 2**14
+# The Walsh–Hadamard transform over 2^N points is done as products with ±1
+# Hadamard matrices of at most 2**STAGE_BITS rows: one gemm for N <= 6.
+STAGE_BITS = 6
 
 
 class NotABasisStateError(ValueError):
@@ -72,47 +72,65 @@ def _checked_encoding(messages, n_pairs: int) -> np.ndarray:
 def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for _bell_probabilities, one integer per amplitude each.
 
-    gather[c, x] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
-    order[m] is the flat position of outcome (z, x) in the transformed
-    z-by-x array for message m.
+    gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
+    order[m] is the flat position of outcome (x, z) in the transformed
+    x-by-z array for message m.
     """
     d = 2**n_pairs
     c = np.arange(d)
-    gather = c[:, None] * d + (c[:, None] ^ c)
+    gather = c * d + (c ^ c[:, None])
     z, x = pauli_masks(np.arange(d * d), n_pairs)
-    order = z * d + x
+    order = x * d + z
     gather.setflags(write=False)
     order.setflags(write=False)
     return gather, order
 
 
+@cache
+def _hadamard(bits: int) -> np.ndarray:
+    """The unnormalised ±1 Hadamard matrix H[i, j] = (-1)^popcount(i & j)."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _stage_bits(n_pairs: int) -> list[int]:
+    """Bit widths of the transform stages: as few as STAGE_BITS allows, as even
+    as possible, most significant bits first."""
+    stages = -(-n_pairs // STAGE_BITS)
+    return [n_pairs // stages + (i < n_pairs % stages) for i in range(stages)]
+
+
 def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
-    of a (B, 4**n_pairs) stack of kets.
+    of a (B, 4**n_pairs) stack of real or complex kets.
 
     With a ket read as a 2^N x 2^N matrix Ψ (sender qubits index rows),
     <s_m|ψ> = 2^{-N/2} Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x] for the message's
-    Pauli masks (z, x).  So one gather G[b, c, x] = Ψ_b[c, c⊕x] followed by a
-    Walsh–Hadamard transform over c yields every overlap at once: O(N·4^N)
-    time per row and no 4^N x 4^N basis.  With x the fastest axis, every
-    butterfly stage works on contiguous runs of at least 2^N amplitudes.
-    This is the CNOT + Hadamard Bell measurement carried out on amplitudes.
+    Pauli masks (z, x).  So one gather G[b, x, c] = Ψ_b[c, c⊕x] followed by a
+    Walsh–Hadamard transform over c yields every overlap at once, with no
+    4^N x 4^N basis.  The transform is a product with H_{2^N} = ⊗ H_{2^k}
+    over groups of k <= STAGE_BITS bits of c, one matrix product per group:
+    O(4^N·Σ 2^k) time per row, run by BLAS.  This is the CNOT + Hadamard Bell
+    measurement carried out on amplitudes.
     """
-    rows = len(amps)
     d = 2**n_pairs
     gather, order = _measurement_tables(n_pairs)
     g = np.take(amps, gather, axis=1)
-    h = 1
-    while h < d:
-        pairs = g.reshape(rows, d // (2 * h), 2, h * d)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
-        diff = low - high
-        low += high
-        high[...] = diff
-        h *= 2
-    probs = np.abs(g.reshape(rows, d * d))
-    probs **= 2
-    probs /= d
+    inner = d
+    for bits in _stage_bits(n_pairs):
+        inner >>= bits
+        if inner == 1:
+            g = g.reshape(-1, 2**bits) @ _hadamard(bits)
+        else:
+            g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
+    g = g.reshape(len(amps), d * d)
+    probs = np.square(g.real)
+    if np.iscomplexobj(g):
+        probs += np.square(g.imag)
+    probs *= 1 / d  # exact: d is a power of two
     return np.take(probs, order, axis=1)
 
 

@@ -178,3 +178,34 @@ def test_size_cap_is_one_protocol_constant(capsys, command):
     assert main([*command, "--n", str(cap + 1)]) == 2
     err = capsys.readouterr().err
     assert f"between 1 and {cap} (MAX_PROTOCOL_PAIRS), got {cap + 1}" in err
+
+
+def _double_the_encoding(monkeypatch):
+    original = protocol.encoded_amplitudes
+    monkeypatch.setattr(protocol, "encoded_amplitudes", lambda m, n: 2 * original(m, n))
+
+
+@pytest.mark.parametrize(
+    "argv", [["roundtrip", "--n", "2"], ["session", "--n", "2", "1", "2"]]
+)
+def test_fault_after_argument_checks_exits_1(monkeypatch, capsys, argv):
+    _double_the_encoding(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: amplitudes are not normalized\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["session", "--n", "2", "16"], ["session", "--n", "1", "-1"], ["roundtrip", "--n", "0"]]
+)
+def test_bad_arguments_still_exit_2_with_a_faulty_encoder(monkeypatch, capsys, argv):
+    _double_the_encoding(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_session_message_range_error_names_the_message(capsys):
+    assert main(["session", "--n", "1", "0", "4"]) == 2
+    assert capsys.readouterr().err == "error: message 4 out of range for n_pairs=1\n"
+

@@ -1,0 +1,126 @@
+"""The Walsh–Hadamard transform of the Bell measurement at its stage
+boundaries, and the real-valued encoder that feeds it.
+
+_bell_probabilities transforms over 2^N points as products with Hadamard
+matrices of at most 2**STAGE_BITS rows.  With the width patched down to 1 or
+2 bits, N = 3..6 runs two to six stages, so every boundary between stages is
+exercised at sizes where a dense oracle is cheap.
+"""
+
+import numpy as np
+import pytest
+
+from densecode import (
+    Ket,
+    apply_pauli_string,
+    basis_matrix,
+    decode,
+    encode,
+    encoded_amplitudes,
+    outcome_probabilities,
+    pauli_string,
+    s_state,
+)
+from densecode import protocol
+
+from conftest import random_ket
+
+
+@pytest.fixture(params=[1, 2], ids=["1-bit stages", "2-bit stages"])
+def narrow_stages(request, monkeypatch):
+    monkeypatch.setattr(protocol, "STAGE_BITS", request.param)
+    return request.param
+
+
+def _dense_probabilities(k: Ket, n: int, messages) -> np.ndarray:
+    """|<s_m|k>|^2 by direct overlaps with the encoded rows, in row blocks."""
+    out = [
+        np.abs(encoded_amplitudes(messages[i : i + 256], n) @ k.amplitudes) ** 2
+        for i in range(0, len(messages), 256)
+    ]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "bits,n,stages",
+    [(6, 1, 1), (6, 6, 1), (6, 7, 2), (6, 12, 2), (6, 13, 3), (2, 5, 3), (1, 6, 6)],
+)
+def test_stage_widths_cover_every_bit_within_the_cap(monkeypatch, bits, n, stages):
+    monkeypatch.setattr(protocol, "STAGE_BITS", bits)
+    widths = protocol._stage_bits(n)
+    assert len(widths) == stages
+    assert sum(widths) == n
+    assert max(widths) <= bits
+    assert max(widths) - min(widths) <= 1
+
+
+def test_hadamard_matrix_entries():
+    for bits in range(4):
+        h = protocol._hadamard(bits)
+        i = np.arange(2**bits)
+        parity = np.array([[bin(a & b).count("1") % 2 for b in i] for a in i])
+        assert np.array_equal(h, 1 - 2 * parity)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_narrow_stages_match_the_dense_basis(narrow_stages, n):
+    assert len(protocol._stage_bits(n)) >= 2
+    k = random_ket(np.random.default_rng(n), 2 * n)
+    dense = np.abs(basis_matrix(n).conj() @ k.amplitudes) ** 2
+    np.testing.assert_allclose(outcome_probabilities(k, n), dense, rtol=0, atol=1e-12)
+
+
+def test_narrow_stages_match_direct_overlaps_at_n6(narrow_stages):
+    n = 6
+    k = random_ket(np.random.default_rng(6), 2 * n)
+    dense = _dense_probabilities(k, n, np.arange(4**n))
+    np.testing.assert_allclose(outcome_probabilities(k, n), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_narrow_stages_keep_the_pauli_frame(narrow_stages, n):
+    rng = np.random.default_rng(100 + n)
+    for m, e in rng.integers(0, 4**n, size=(8, 2)):
+        m, e = int(m), int(e)
+        assert decode(apply_pauli_string(encode(m, n), pauli_string(e, n)), n) == m ^ e
+
+
+def test_narrow_stages_round_trip(narrow_stages):
+    assert protocol.roundtrip_all(4).failures == ()
+
+
+def test_two_default_stages_match_direct_overlaps_at_n7():
+    n = 7
+    assert len(protocol._stage_bits(n)) == 2
+    rng = np.random.default_rng(7)
+    k = random_ket(rng, 2 * n)
+    sampled = np.sort(rng.choice(4**n, size=200, replace=False))
+    rows = encoded_amplitudes(sampled, n)
+    direct = np.array([abs(np.vdot(row, k.amplitudes)) ** 2 for row in rows])
+    np.testing.assert_allclose(outcome_probabilities(k, n)[sampled], direct, rtol=0, atol=1e-12)
+    assert decode(encode(int(sampled[-1]), n), n) == sampled[-1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_encoded_amplitudes_are_real(n):
+    messages = np.arange(min(4**n, 64))
+    rows = encoded_amplitudes(messages, n)
+    assert rows.dtype == np.float64
+    for m in (0, int(messages[-1])):
+        assert s_state(m, n).amplitudes.dtype == np.complex128
+        assert encode(m, n).amplitudes.dtype == np.complex128
+        assert np.array_equal(s_state(m, n).amplitudes, rows[m])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_real_ket_probabilities_match_the_complex_cast(n):
+    rng = np.random.default_rng(50 + n)
+    amps = rng.normal(size=(3, 4**n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    real = protocol._bell_probabilities(amps, n)
+    cast = protocol._bell_probabilities(amps.astype(complex), n)
+    np.testing.assert_allclose(real, cast, rtol=0, atol=1e-15)
+    for row, probs in zip(amps, real):
+        np.testing.assert_allclose(
+            outcome_probabilities(Ket(2 * n, row), n), probs, rtol=0, atol=1e-15
+        )
