@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellbasis import apply_pauli_string, pauli_string
+from .protocol import _measurement_tables, _pauli_coefficients
 from .statevec import DensityMatrix, Ket, hermitian_eigenvalues
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
@@ -112,15 +112,27 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     sender can reach from k with local Pauli strings.
 
     Candidates are visited in ascending string index; one is kept when its
-    overlap with every kept state stays below 1e-8 in modulus.  The overlaps
-    arising here are exactly 0, 1/2, 1/sqrt(2) or 1 up to rounding, so the
-    greedy pass has no ties.
+    overlap with every kept state stays below ORTHOGONALITY_TOL in modulus.
+    Strings compose by XOR of their indices up to a sign, so
+    |<P_i k|P_j k>| = |tr(rho_A P_{i^j})| with rho_A the sender's reduced
+    state, and one Pauli transform of rho_A (the kernel of the Bell
+    measurement) gives every overlap; the greedy pass is then a sieve over
+    indices.  The overlaps arising here are exactly 0, 1/2, 1/sqrt(2) or 1
+    up to rounding, so the greedy pass has no ties.
     """
     if k.num_qubits != 2 * alice_qubits:
         raise ValueError(f"expected {2 * alice_qubits} qubits, got {k.num_qubits}")
-    kept: list[np.ndarray] = []
-    for j in range(4**alice_qubits):
-        candidate = apply_pauli_string(k, pauli_string(j, alice_qubits)).amplitudes
-        if all(abs(np.vdot(other, candidate)) < ORTHOGONALITY_TOL for other in kept):
-            kept.append(candidate)
-    return len(kept)
+    d = 2**alice_qubits
+    psi = k.amplitudes.reshape(d, d)
+    rho_a = psi @ psi.conj().T
+    coef = _pauli_coefficients(rho_a.reshape(1, d * d), alice_qubits)
+    order = _measurement_tables(alice_qubits)[1]
+    overlapping = np.linalg.norm(coef, axis=0)[0, order] >= ORTHOGONALITY_TOL
+    index = np.arange(d * d)
+    blocked = np.zeros(d * d, dtype=bool)
+    kept = 0
+    for j in range(d * d):
+        if not blocked[j]:
+            kept += 1
+            blocked |= overlapping[index ^ j]
+    return kept

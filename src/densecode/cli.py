@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -159,10 +160,7 @@ def _fault(exc: ValueError) -> int:
 
 def cmd_roundtrip(config: CliConfig) -> int:
     n = _protocol_pairs(config, "roundtrip")
-    try:
-        report = protocol.roundtrip_all(n)
-    except ValueError as exc:
-        return _fault(exc)
+    report = protocol.roundtrip_all(n)
     _emit(
         f"{2 * n} bits via {n} qubits: {report.message_count} messages round-tripped, "
         f"{report.bits_per_qubit} bits per qubit, {len(report.failures)} failures\n",
@@ -181,6 +179,8 @@ def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, i
             n = int(selector[3:])
         except ValueError as exc:
             raise UsageError(f"bad selector {selector!r}") from exc
+        if not 1 <= n <= bellbasis.MAX_PAIRS:
+            raise UsageError(f"n_pairs must be in [1, {bellbasis.MAX_PAIRS}], got {n}")
         state, d_a = bellbasis.s0(n), 2**n
     elif selector.startswith("file:"):
         path = Path(selector[5:])
@@ -231,6 +231,8 @@ def cmd_session(config: CliConfig, messages: list[int] | None, random_count: int
     n = _protocol_pairs(config, "session")
     if (messages is None or not messages) == (random_count is None):
         raise UsageError("pass either explicit messages or --random COUNT")
+    if config.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {config.seed}")
     if random_count is not None:
         if random_count < 0:
             raise UsageError("--random count must be nonnegative")
@@ -239,10 +241,7 @@ def cmd_session(config: CliConfig, messages: list[int] | None, random_count: int
     for m in messages:
         if not 0 <= m < 4**n:
             raise UsageError(f"message {m} out of range for n_pairs={n}")
-    try:
-        transcript = protocol.session(n, messages, config.seed)
-    except ValueError as exc:
-        return _fault(exc)
+    transcript = protocol.session(n, messages, config.seed)
     _emit(transcript.to_json(), config.out)
     return 0
 
@@ -261,7 +260,9 @@ def cmd_ghz_compare(config: CliConfig) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="densecode",
         description="Superdense coding over generalized Bell bases: build, run, audit.",
@@ -311,9 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -338,9 +338,11 @@ def main(argv=None) -> int:
         if args.subcommand == "ghz-compare":
             return cmd_ghz_compare(config)
         raise UsageError(f"unknown subcommand {args.subcommand!r}")
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ValueError as exc:
+        return _fault(exc)
 
 
 if __name__ == "__main__":

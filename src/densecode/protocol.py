@@ -70,7 +70,7 @@ def _checked_encoding(messages, n_pairs: int) -> np.ndarray:
 
 @cache
 def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for _bell_probabilities, one integer per amplitude each.
+    """Index tables for _pauli_coefficients, one integer per amplitude each.
 
     gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
     order[m] is the flat position of outcome (x, z) in the transformed
@@ -103,22 +103,26 @@ def _stage_bits(n_pairs: int) -> list[int]:
     return [n_pairs // stages + (i < n_pairs % stages) for i in range(stages)]
 
 
-def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
-    """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
-    of a (B, 4**n_pairs) stack of real or complex kets.
+def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Signed, unnormalised coefficients Σ_c (-1)^popcount(z & c) Ψ_b[c, c⊕x]
+    for every Pauli mask pair (x, z) and every row ψ_b of a (B, 4**n_pairs)
+    stack of real or complex arrays, in the transform's x-major order x·2^N + z.
 
-    With a ket read as a 2^N x 2^N matrix Ψ (sender qubits index rows),
-    <s_m|ψ> = 2^{-N/2} Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x] for the message's
-    Pauli masks (z, x).  So one gather G[b, x, c] = Ψ_b[c, c⊕x] followed by a
-    Walsh–Hadamard transform over c yields every overlap at once, with no
-    4^N x 4^N basis.  The transform is a product with H_{2^N} = ⊗ H_{2^k}
-    over groups of k <= STAGE_BITS bits of c, one matrix product per group:
-    O(4^N·Σ 2^k) time per row, run by BLAS.  This is the CNOT + Hadamard Bell
-    measurement carried out on amplitudes.
+    The result has shape (parts, B, 4**n_pairs): one part for real input, and
+    the real and imaginary parts for complex input, so every product is a
+    float64 gemm.  With a ket read as a 2^N x 2^N matrix Ψ (sender qubits
+    index rows) the coefficient of (x, z) is 2^{N/2} <s_m|ψ> for the message
+    with those masks; with a matrix ρ it is ±tr(ρ Z^z X^x).  One gather
+    G[b, x, c] = Ψ_b[c, c⊕x] followed by a Walsh–Hadamard transform over c
+    yields them all, with no 4^N x 4^N basis.  The transform is a product
+    with H_{2^N} = ⊗ H_{2^k} over groups of k <= STAGE_BITS bits of c, one
+    matrix product per group: O(4^N·Σ 2^k) time per row, run by BLAS.  This
+    is the CNOT + Hadamard Bell measurement carried out on amplitudes.
     """
     d = 2**n_pairs
-    gather, order = _measurement_tables(n_pairs)
-    g = np.take(amps, gather, axis=1)
+    gather = _measurement_tables(n_pairs)[0]
+    parts = np.array((amps.real, amps.imag)) if np.iscomplexobj(amps) else amps[None]
+    g = np.take(parts, gather, axis=2)
     inner = d
     for bits in _stage_bits(n_pairs):
         inner >>= bits
@@ -126,12 +130,24 @@ def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
             g = g.reshape(-1, 2**bits) @ _hadamard(bits)
         else:
             g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
-    g = g.reshape(len(amps), d * d)
-    probs = np.square(g.real)
-    if np.iscomplexobj(g):
-        probs += np.square(g.imag)
-    probs *= 1 / d  # exact: d is a power of two
-    return np.take(probs, order, axis=1)
+    return g.reshape(len(parts), len(amps), d * d)
+
+
+def _outcome_squares(amps: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|<s|ψ_b>|^2 for every outcome, in the transform's x-major order."""
+    coef = _pauli_coefficients(amps, n_pairs)
+    probs = np.square(coef[0])
+    if len(coef) > 1:
+        probs += np.square(coef[1])
+    probs *= 1 / 2**n_pairs  # exact: a power of two
+    return probs
+
+
+def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
+    of a (B, 4**n_pairs) stack of real or complex kets (see _pauli_coefficients)."""
+    order = _measurement_tables(n_pairs)[1]
+    return np.take(_outcome_squares(amps, n_pairs), order, axis=1)
 
 
 def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
@@ -224,10 +240,13 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     p = np.empty(messages.size)
     for block in _blocks(messages.size, n_pairs):
         amps = _checked_encoding(messages[block], n_pairs)
-        probs = _bell_probabilities(amps, n_pairs)
+        probs = _outcome_squares(amps, n_pairs)
         best[block] = probs.argmax(axis=1)
         p[block] = probs.max(axis=1)
-    failures = np.flatnonzero((best != messages) | (p < 1.0 - DECODE_TOL))
+    # best is a position in the transform's order; message m decodes right
+    # when it is order[m]
+    order = _measurement_tables(n_pairs)[1]
+    failures = np.flatnonzero((best != order) | (p < 1.0 - DECODE_TOL))
     return RoundTripReport(
         n_pairs=n_pairs,
         message_count=4**n_pairs,

@@ -1,0 +1,108 @@
+"""cli.main called many times in one process, as the benchmark and library
+users call it: the parser is built once and no call leaks state into the
+next; and the exit-code contract of every subcommand (2 for bad arguments,
+1 for a ValueError raised by the library after the arguments were checked).
+"""
+
+import json
+
+import pytest
+
+from densecode import Transcript, bellbasis, capacity, cli
+from densecode.cli import DEFAULT_SEED, main
+
+
+def test_parser_is_built_once():
+    assert main(["roundtrip", "--n", "1"]) == 0
+    parser = cli._build_parser()
+    assert main(["factorize"]) == 0
+    assert cli._build_parser() is parser
+
+
+def test_out_then_stdout(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    assert main(["roundtrip", "--n", "1", "--out", str(out)]) == 0
+    assert main(["roundtrip", "--n", "1"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert out.read_text().startswith("2 bits via 1 qubits")
+
+
+def test_json_then_default_table(capsys):
+    assert main(["basis", "--n", "1", "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["basis", "--n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("s0 (Phi+)")
+
+
+def test_session_without_seed_gets_the_default(capsys):
+    assert main(["session", "--n", "2", "--random", "5", "--seed", "7"]) == 0
+    assert Transcript.from_json(capsys.readouterr().out).seed == 7
+    assert main(["session", "--n", "2", "--random", "5"]) == 0
+    default = capsys.readouterr().out
+    assert Transcript.from_json(default).seed == DEFAULT_SEED
+    assert main(["session", "--n", "2", "--random", "5", "--seed", str(DEFAULT_SEED)]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize(
+    "bad", [["roundtrip", "--bogus"], ["capacity"], ["basis", "--n", "x"], []]
+)
+def test_parse_failure_leaves_the_next_call_working(capsys, bad):
+    assert main(bad) == 2
+    capsys.readouterr()
+    assert main(["roundtrip", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("4 bits via 2 qubits")
+
+
+def _injected(*args, **kwargs):
+    raise ValueError("injected fault")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (bellbasis, "s_state", ["basis", "--n", "1"]),
+        (capacity, "dense_coding_capacity", ["capacity", "s0:3"]),
+        (bellbasis, "factorize_report", ["factorize"]),
+        (capacity, "orthogonal_orbit_count", ["ghz-compare"]),
+    ],
+)
+def test_library_fault_after_argument_checks_exits_1(monkeypatch, capsys, module, name, argv):
+    monkeypatch.setattr(module, name, _injected)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: injected fault\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--n", "0"],
+        ["basis", "--n", "5"],
+        ["capacity", "s0:0"],
+        ["capacity", "s0:14"],
+        ["capacity", "s0:x"],
+        ["capacity", "g1", "--d-a", "3"],
+        ["factorize", "--n", "1"],
+        ["ghz-compare", "--out"],
+        ["session", "--n", "2", "--random", "3", "--seed", "-1"],
+        ["session", "--n", "2", "1", "--seed", "-1"],
+    ],
+)
+def test_bad_arguments_exit_2_with_faulty_libraries(monkeypatch, capsys, argv):
+    for module, name in (
+        (bellbasis, "s_state"),
+        (bellbasis, "s0"),
+        (capacity, "dense_coding_capacity"),
+        (bellbasis, "factorize_report"),
+        (capacity, "orthogonal_orbit_count"),
+    ):
+        monkeypatch.setattr(module, name, _injected)
+    assert main(argv) == 2
+    assert "injected" not in capsys.readouterr().err
+
+
+def test_capacity_pair_count_error_names_the_limit(capsys):
+    assert main(["capacity", "s0:14"]) == 2
+    assert capsys.readouterr().err == "error: n_pairs must be in [1, 13], got 14\n"
