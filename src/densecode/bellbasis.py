@@ -13,6 +13,7 @@ from functools import cache
 
 import numpy as np
 
+from . import limits
 from .statevec import (
     Ket,
     PAULI_X,
@@ -23,8 +24,6 @@ from .statevec import (
     tensor,
 )
 
-MAX_PAIRS = 13  # one shared state caps at 26 qubits
-MAX_BASIS_PAIRS = 6  # full-basis enumeration: 4**6 states of dimension 4**6
 PHASE_TOL = 1e-10
 
 _SQRT_HALF = 2.0**-0.5
@@ -103,8 +102,7 @@ def g_state(i: int) -> Ket:
     kets of its group; the sign pattern cycles ++++, ++--, +-+-, +--+
     within a group.
     """
-    if not 1 <= i <= 16:
-        raise ValueError(f"g-state index must be in 1..16, got {i}")
+    limits.check("g-state index", i, "g1..g16", high=16)
     group, member = divmod(i - 1, 4)
     amps = np.zeros(16, dtype=complex)
     for index, sign in zip(_G_GROUP_KETS[group], _G_SIGNS[member]):
@@ -114,8 +112,7 @@ def g_state(i: int) -> Ket:
 
 def g_group(i: int) -> int:
     """Group number (1..4) of a g-state index."""
-    if not 1 <= i <= 16:
-        raise ValueError(f"g-state index must be in 1..16, got {i}")
+    limits.check("g-state index", i, "g1..g16", high=16)
     return (i - 1) // 4 + 1
 
 
@@ -132,16 +129,6 @@ def ghz4() -> Ket:
     return ghz_family(GhzLabel.GHZ_PLUS)
 
 
-def _check_pairs(n_pairs: int) -> None:
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
-
-
-def _check_message(message: int, n_pairs: int) -> None:
-    if not 0 <= message < 4**n_pairs:
-        raise ValueError(f"message must be in [0, {4**n_pairs - 1}], got {message}")
-
-
 def s0(n_pairs: int) -> Ket:
     """Shared resource state for ``n_pairs`` transmitted qubits.
 
@@ -149,7 +136,7 @@ def s0(n_pairs: int) -> Ket:
     pattern with the identical receiver pattern; for one pair this is
     Phi+ and for two pairs it is g1.
     """
-    _check_pairs(n_pairs)
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     d = 2**n_pairs
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = d**-0.5
@@ -189,7 +176,7 @@ def pauli_string(message: int, n_pairs: int) -> PauliString:
     Counting bits of the message from the right, bit 2k-2 is the Z exponent
     and bit 2k-1 the X exponent on (1-indexed) qubit k.
     """
-    _check_message(message, n_pairs)
+    limits.check_message(message, n_pairs)
     factors = tuple(
         ((message >> (2 * k)) & 1, (message >> (2 * k + 1)) & 1) for k in range(n_pairs)
     )
@@ -254,13 +241,13 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     entry is zero.  Built directly, without applying gates one by one, and
     real, since every amplitude is.
     """
-    _check_pairs(n_pairs)
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = np.asarray(messages).reshape(-1)
     if messages.size and messages.dtype.kind not in "iu":
         raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
     bad = (messages < 0) | (messages >= 4**n_pairs)
     if bad.any():
-        _check_message(int(messages[bad][0]), n_pairs)
+        limits.check_message(int(messages[bad][0]), n_pairs)
     messages = messages.astype(np.int64)
     d = 2**n_pairs
     low, high, signs = _encoding_tables(n_pairs)
@@ -275,9 +262,7 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
 
 def s_state(message: int, n_pairs: int) -> Ket:
     """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
-    string applied to s0 (see encoded_amplitudes)."""
-    _check_pairs(n_pairs)
-    _check_message(message, n_pairs)
+    string applied to s0 (see encoded_amplitudes), which checks both arguments."""
     return Ket(2 * n_pairs, encoded_amplitudes([message], n_pairs)[0])
 
 
@@ -287,10 +272,7 @@ def basis_matrix(n_pairs: int) -> np.ndarray:
 
     A dense reference for tests: the protocol measures without it.
     """
-    if not 1 <= n_pairs <= MAX_BASIS_PAIRS:
-        raise ValueError(
-            f"full-basis enumeration supports n_pairs in [1, {MAX_BASIS_PAIRS}], got {n_pairs}"
-        )
+    limits.check("n_pairs", n_pairs, "MAX_BASIS_PAIRS")
     d = 4**n_pairs
     rows = np.empty((d, d), dtype=complex)
     for j in range(d):
@@ -376,8 +358,7 @@ class InterleaveReport:
 
 def factorize_s0(n_pairs: int) -> InterleaveReport:
     """Verify that the shared resource equals one Phi+ pair per transmitted qubit."""
-    if not 1 <= n_pairs <= MAX_BASIS_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_BASIS_PAIRS}], got {n_pairs}")
+    limits.check("n_pairs", n_pairs, "MAX_BASIS_PAIRS")
     state = permute_qubits(s0(n_pairs), interleave_permutation(n_pairs))
     product = bell(BellLabel.PHI_PLUS)
     for _ in range(n_pairs - 1):

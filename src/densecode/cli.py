@@ -9,18 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from . import bellbasis, capacity, protocol
+from . import bellbasis, capacity, limits, protocol
 from .bellbasis import BellLabel
 from .statevec import Ket, equal_up_to_global_phase
 
 DEFAULT_SEED = 0x5DC0DE
-MAX_EMIT_PAIRS = 4  # basis emission cap: 4**4 states
 
 _EXACT_COEFFS = (
     (1.0, "1"),
@@ -35,15 +33,13 @@ class UsageError(ValueError):
     """Bad command arguments or unreadable input."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved options shared by the subcommands."""
-
-    subcommand: str
-    n_pairs: int | None = None
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    fmt: str = "table"
+def _usage(check, *args):
+    """Run one of the limits checks on command-line values: its ValueError is
+    a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def format_coefficient(value: complex) -> str:
@@ -72,8 +68,11 @@ def format_state(k: Ket) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -87,12 +86,8 @@ def _bell_name(k: Ket) -> str:
     return "?"
 
 
-def cmd_basis(config: CliConfig) -> int:
-    n = config.n_pairs
-    if n is None or n < 1:
-        raise UsageError("basis requires --n >= 1")
-    if n > MAX_EMIT_PAIRS:
-        raise UsageError(f"basis emission is capped at --n {MAX_EMIT_PAIRS}, got {n}")
+def cmd_basis(args) -> int:
+    n = _usage(limits.check, "--n", args.n, "MAX_EMIT_PAIRS")
 
     if n == 2:
         # the 16 four-qubit states in g1..g16 order, grouped by carrier kets
@@ -106,8 +101,8 @@ def cmd_basis(config: CliConfig) -> int:
                     "state": bellbasis.g_state(i).to_dict(),
                 }
             )
-        if config.fmt == "json":
-            _emit_json({"N": n, "states": records}, config.out)
+        if args.format == "json":
+            _emit_json({"N": n, "states": records}, args.out)
         else:
             lines = []
             for group in range(1, 5):
@@ -119,7 +114,7 @@ def cmd_basis(config: CliConfig) -> int:
                     lines.append(
                         f"  {rec['label']:<4} (message {rec['index']:>2}): {format_state(state)}"
                     )
-            _emit("\n".join(lines) + "\n", config.out)
+            _emit("\n".join(lines) + "\n", args.out)
         return 0
 
     records = []
@@ -129,42 +124,25 @@ def cmd_basis(config: CliConfig) -> int:
         if n == 1:
             rec["bell"] = _bell_name(state)
         records.append(rec)
-    if config.fmt == "json":
-        _emit_json({"N": n, "states": records}, config.out)
+    if args.format == "json":
+        _emit_json({"N": n, "states": records}, args.out)
     else:
         lines = []
         for rec in records:
             state = Ket.from_dict(rec["state"])
             name = rec["label"] if n != 1 else f"{rec['label']} ({rec['bell']})"
             lines.append(f"{name:<12}: {format_state(state)}")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _protocol_pairs(config: CliConfig, command: str) -> int:
-    n = config.n_pairs
-    if n is None or not 1 <= n <= protocol.MAX_PROTOCOL_PAIRS:
-        raise UsageError(
-            f"{command} requires --n between 1 and {protocol.MAX_PROTOCOL_PAIRS} "
-            f"(MAX_PROTOCOL_PAIRS), got {n}"
-        )
-    return n
-
-
-def _fault(exc: ValueError) -> int:
-    """Report a ValueError raised after the arguments were checked: a failure
-    of the program (exit 1), not a usage error."""
-    sys.stderr.write(f"error: {exc}\n")
-    return 1
-
-
-def cmd_roundtrip(config: CliConfig) -> int:
-    n = _protocol_pairs(config, "roundtrip")
+def cmd_roundtrip(args) -> int:
+    n = _usage(limits.check, "--n", args.n, "MAX_PROTOCOL_PAIRS")
     report = protocol.roundtrip_all(n)
     _emit(
         f"{2 * n} bits via {n} qubits: {report.message_count} messages round-tripped, "
         f"{report.bits_per_qubit} bits per qubit, {len(report.failures)} failures\n",
-        config.out,
+        args.out,
     )
     return 0 if not report.failures else 1
 
@@ -179,8 +157,7 @@ def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, i
             n = int(selector[3:])
         except ValueError as exc:
             raise UsageError(f"bad selector {selector!r}") from exc
-        if not 1 <= n <= bellbasis.MAX_PAIRS:
-            raise UsageError(f"n_pairs must be in [1, {bellbasis.MAX_PAIRS}], got {n}")
+        _usage(limits.check, "s0:N", n, "MAX_CAPACITY_PAIRS")
         state, d_a = bellbasis.s0(n), 2**n
     elif selector.startswith("file:"):
         path = Path(selector[5:])
@@ -200,53 +177,53 @@ def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, i
     return state, d_a
 
 
-def cmd_capacity(config: CliConfig, selector: str, d_a_flag: int | None) -> int:
-    state, d_a = _resolve_capacity_state(selector, d_a_flag)
+def cmd_capacity(args) -> int:
+    state, d_a = _resolve_capacity_state(args.selector, args.d_a)
     dim = 2**state.num_qubits
     if d_a < 1 or dim % d_a:
         raise UsageError(f"--d-a {d_a} does not divide the state dimension {dim}")
     report = capacity.dense_coding_capacity(state, d_a, dim // d_a)
-    _emit_json(report.to_dict(), config.out)
+    _emit_json(report.to_dict(), args.out)
     return 0
 
 
-def cmd_factorize(config: CliConfig) -> int:
+def cmd_factorize(args) -> int:
     reports = [bellbasis.factorize_report(i) for i in range(1, 17)]
     worst = max(r["max_deviation"] for r in reports)
     if worst > 1e-10:
         sys.stderr.write(f"factorization reconstruction failed: deviation {worst}\n")
         return 1
-    if config.fmt == "json":
-        _emit_json(reports, config.out)
+    if args.format == "json":
+        _emit_json(reports, args.out)
     else:
         lines = [
             f"g{r['g_index']:<3} = |{r['first']}>|{r['second']}>" for r in reports
         ]
         lines.append(f"all 16 reconstructions verified (max deviation {worst:.3e})")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_session(config: CliConfig, messages: list[int] | None, random_count: int | None) -> int:
-    n = _protocol_pairs(config, "session")
-    if (messages is None or not messages) == (random_count is None):
+def cmd_session(args) -> int:
+    n = _usage(limits.check, "--n", args.n, "MAX_PROTOCOL_PAIRS")
+    messages = args.messages
+    if (not messages) == (args.random is None):
         raise UsageError("pass either explicit messages or --random COUNT")
-    if config.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {config.seed}")
-    if random_count is not None:
-        if random_count < 0:
-            raise UsageError("--random count must be nonnegative")
-        rng = np.random.default_rng(config.seed)
-        messages = [int(m) for m in rng.integers(0, 4**n, size=random_count)]
-    for m in messages:
-        if not 0 <= m < 4**n:
-            raise UsageError(f"message {m} out of range for n_pairs={n}")
-    transcript = protocol.session(n, messages, config.seed)
-    _emit(transcript.to_json(), config.out)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if args.random is None:
+        for m in messages:
+            _usage(limits.check_message, m, n)
+    else:
+        count = _usage(limits.check, "--random", args.random, "MAX_SESSION_STEPS", 0)
+        rng = np.random.default_rng(args.seed)
+        messages = [int(m) for m in rng.integers(0, 4**n, size=count)]
+    transcript = protocol.session(n, messages, args.seed)
+    _emit(transcript.to_json(), args.out)
     return 0
 
 
-def cmd_ghz_compare(config: CliConfig) -> int:
+def cmd_ghz_compare(args) -> int:
     g1 = bellbasis.g_state(1)
     ghz = bellbasis.ghz4()
     result = {}
@@ -256,7 +233,7 @@ def cmd_ghz_compare(config: CliConfig) -> int:
             "orbit": capacity.orthogonal_orbit_count(state, 2),
             "chi": report.chi,
         }
-    _emit_json(result, config.out)
+    _emit_json(result, args.out)
     return 0
 
 
@@ -280,24 +257,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("basis", help="emit the generalized Bell basis states")
+    p.set_defaults(run=cmd_basis)
     add_n(p)
     add_format(p)
     add_out(p)
 
     p = sub.add_parser("roundtrip", help="encode and decode every message")
+    p.set_defaults(run=cmd_roundtrip)
     add_n(p)
     add_out(p)
 
     p = sub.add_parser("capacity", help="dense-coding capacity report for a state")
+    p.set_defaults(run=cmd_capacity)
     p.add_argument("selector", help="g1, ghz4, s0:N or file:PATH (ket JSON)")
     p.add_argument("--d-a", type=int, default=None, help="sender subsystem dimension")
     add_out(p)
 
     p = sub.add_parser("factorize", help="Bell-pair decomposition of all 16 g-states")
+    p.set_defaults(run=cmd_factorize)
     add_format(p)
     add_out(p)
 
     p = sub.add_parser("session", help="simulate a sender->receiver session")
+    p.set_defaults(run=cmd_session)
     p.add_argument("messages", type=int, nargs="*", help="explicit message values")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="draw COUNT seeded random messages instead")
@@ -306,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("ghz-compare", help="orbit sizes and capacities: g1 vs GHZ")
+    p.set_defaults(run=cmd_ghz_compare)
     add_out(p)
 
     return parser
@@ -317,32 +300,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    config = CliConfig(
-        subcommand=args.subcommand,
-        n_pairs=getattr(args, "n", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        out=args.out,
-        fmt=getattr(args, "format", "table"),
-    )
     try:
-        if args.subcommand == "basis":
-            return cmd_basis(config)
-        if args.subcommand == "roundtrip":
-            return cmd_roundtrip(config)
-        if args.subcommand == "capacity":
-            return cmd_capacity(config, args.selector, args.d_a)
-        if args.subcommand == "factorize":
-            return cmd_factorize(config)
-        if args.subcommand == "session":
-            return cmd_session(config, args.messages, args.random)
-        if args.subcommand == "ghz-compare":
-            return cmd_ghz_compare(config)
-        raise UsageError(f"unknown subcommand {args.subcommand!r}")
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return args.run(args)
     except ValueError as exc:
-        return _fault(exc)
+        # any ValueError but a UsageError was raised after the arguments were
+        # checked: a failure of the program (exit 1), not a usage error
+        sys.stderr.write(f"error: {exc}\n")
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

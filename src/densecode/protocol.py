@@ -13,11 +13,11 @@ from functools import cache
 
 import numpy as np
 
-from .bellbasis import _check_pairs, encoded_amplitudes, pauli_masks, pauli_string, s_state
+from . import limits
+from .bellbasis import encoded_amplitudes, pauli_masks, pauli_string, s_state
 from .statevec import Ket, check_amplitudes
 
 DECODE_TOL = 1e-8
-MAX_PROTOCOL_PAIRS = 6  # cap on roundtrip_all and the roundtrip/session commands
 # Messages are encoded and measured in blocks of this many amplitudes (128 KiB
 # of float64 per array), so numpy's per-call overhead is paid once per block.
 BLOCK_AMPLITUDES = 2**14
@@ -210,8 +210,7 @@ def table2_encode(bits: str) -> int:
 
 def table2_decode(i: int) -> str:
     """4-bit string for a g-state index under the agreed convention."""
-    if not 1 <= i <= 16:
-        raise ValueError(f"g-state index must be in 1..16, got {i}")
+    limits.check("g-state index", i, "g1..g16", high=16)
     return _TABLE2_BITS[i - 1]
 
 
@@ -233,8 +232,7 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     that decodes to another one, or to no basis state with certainty, is
     listed in ``failures``.
     """
-    if not 1 <= n_pairs <= MAX_PROTOCOL_PAIRS:
-        raise ValueError(f"n_pairs must be in [1, {MAX_PROTOCOL_PAIRS}], got {n_pairs}")
+    limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
     messages = np.arange(4**n_pairs)
     best = np.empty_like(messages)
     p = np.empty(messages.size)
@@ -322,13 +320,10 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES
     amplitudes; per-step measurement seeds come from one master PRNG, in
     message order, keeping whole transcripts reproducible from the session
-    seed.
+    seed.  encoded_amplitudes checks every message.
     """
-    _check_pairs(n_pairs)
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
-    for m in messages:
-        if not 0 <= m < 4**n_pairs:
-            raise ValueError(f"message {m} out of range for n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
     steps = []
     for block in _blocks(len(messages), n_pairs):

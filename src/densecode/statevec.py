@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 26  # one dense amplitude vector stays under 2 GB
+from .limits import MAX_QUBITS, check
+
 NORM_TOL = 1e-10
 _JACOBI_OFFDIAG_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
+_JACOBI_SWEEPS = 100  # sweeps before giving up
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +29,9 @@ class Ket:
 
     def __post_init__(self):
         n = self.num_qubits
-        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
+        if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+            n = check("num_qubits", n, "MAX_QUBITS")
+            object.__setattr__(self, "num_qubits", n)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**n:
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
@@ -47,7 +49,7 @@ class Ket:
     @classmethod
     def from_dict(cls, data: dict) -> Ket:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(int(data["num_qubits"]), amps)
+        return cls(data["num_qubits"], amps)
 
 
 def check_amplitudes(amps: np.ndarray) -> None:
@@ -101,8 +103,9 @@ class DensityMatrix:
             [[complex(re, im) for re, im in row] for row in data["entries"]]
         )
         m = cls(entries)
-        if m.dim != int(data["dim"]):
-            raise ValueError("dim field does not match the entries shape")
+        dim = data["dim"]
+        if type(dim) is not int or dim != m.dim:
+            raise ValueError(f"dim must be the JSON integer {m.dim}, got {dim!r}")
         return m
 
 
@@ -147,8 +150,7 @@ def tensor(a: Ket, b: Ket) -> Ket:
 def apply_single_qubit(k: Ket, qubit: int, gate: np.ndarray) -> Ket:
     """Apply a one-qubit gate at the given qubit position."""
     n = k.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    check("qubit", qubit, f"{n}-qubit ket", 0, n - 1)
     psi = k.amplitudes.reshape([2] * n)
     psi = np.tensordot(np.asarray(gate, dtype=complex), psi, axes=([1], [qubit]))
     psi = np.moveaxis(psi, 0, qubit)
@@ -216,7 +218,7 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     if d == 1:
         return np.array([a[0, 0].real])
 
-    for _ in range(_JACOBI_MAX_SWEEPS):
+    for _ in range(_JACOBI_SWEEPS):
         # norm of the off-diagonal part, summed directly to avoid cancellation
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off < _JACOBI_OFFDIAG_TOL:

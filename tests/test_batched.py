@@ -22,7 +22,7 @@ from densecode import (
     s_state,
     session,
 )
-from densecode import protocol
+from densecode import limits, protocol
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
 
@@ -173,11 +173,11 @@ def test_check_amplitudes_on_stacks_matches_ket():
 
 @pytest.mark.parametrize("command", [["roundtrip"], ["session", "--random", "1"]])
 def test_size_cap_is_one_protocol_constant(capsys, command):
-    cap = protocol.MAX_PROTOCOL_PAIRS
+    cap = limits.MAX_PROTOCOL_PAIRS
     assert cap == 6
     assert main([*command, "--n", str(cap + 1)]) == 2
     err = capsys.readouterr().err
-    assert f"between 1 and {cap} (MAX_PROTOCOL_PAIRS), got {cap + 1}" in err
+    assert err == f"error: --n must be in [1, {cap}] (MAX_PROTOCOL_PAIRS), got {cap + 1}\n"
 
 
 def _double_the_encoding(monkeypatch):
@@ -207,5 +207,7 @@ def test_bad_arguments_still_exit_2_with_a_faulty_encoder(monkeypatch, capsys, a
 
 def test_session_message_range_error_names_the_message(capsys):
     assert main(["session", "--n", "1", "0", "4"]) == 2
-    assert capsys.readouterr().err == "error: message 4 out of range for n_pairs=1\n"
+    assert capsys.readouterr().err == (
+        "error: message must be in [0, 3] (4**N - 1 for N = 1), got 4\n"
+    )
 

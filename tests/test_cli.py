@@ -101,6 +101,13 @@ class TestCapacityCommand:
         path.write_text('{"num_qubits": 2, "amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]}')
         code, _, err = run(capsys, "capacity", f"file:{path}")
         assert code == 2
+        # the qubit count must be a JSON integer: not a bool, a float or a string
+        for count in ("true", "1.9", "1.0", '"1"'):
+            path.write_text(f'{{"num_qubits": {count}, "amplitudes": [[1, 0], [0, 0]]}}')
+            code, out, err = run(capsys, "capacity", f"file:{path}", "--d-a", "2")
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: malformed state in {path}: num_qubits ")
 
     def test_non_finite_state(self, capsys, tmp_path):
         path = tmp_path / "nan.json"

@@ -88,6 +88,8 @@ def test_library_fault_after_argument_checks_exits_1(monkeypatch, capsys, module
         ["ghz-compare", "--out"],
         ["session", "--n", "2", "--random", "3", "--seed", "-1"],
         ["session", "--n", "2", "1", "--seed", "-1"],
+        ["session", "--n", "2", "--random", str(10**15)],
+        ["capacity", "s0:13"],
     ],
 )
 def test_bad_arguments_exit_2_with_faulty_libraries(monkeypatch, capsys, argv):
@@ -105,4 +107,35 @@ def test_bad_arguments_exit_2_with_faulty_libraries(monkeypatch, capsys, argv):
 
 def test_capacity_pair_count_error_names_the_limit(capsys):
     assert main(["capacity", "s0:14"]) == 2
-    assert capsys.readouterr().err == "error: n_pairs must be in [1, 13], got 14\n"
+    assert capsys.readouterr().err == "error: s0:N must be in [1, 12] (MAX_CAPACITY_PAIRS), got 14\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["capacity", "s0:13"], "s0:N must be in [1, 12] (MAX_CAPACITY_PAIRS), got 13"),
+        (
+            ["session", "--n", "2", "--random", str(10**15)],
+            f"--random must be in [0, 524288] (MAX_SESSION_STEPS), got {10**15}",
+        ),
+        (["basis", "--n", "5"], "--n must be in [1, 4] (MAX_EMIT_PAIRS), got 5"),
+        (["roundtrip"], "--n must be an integer in [1, 6] (MAX_PROTOCOL_PAIRS), got None"),
+    ],
+)
+def test_size_errors_name_the_input_and_the_limit(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/out.txt"])
+def test_unwritable_out_path_exits_2(capsys, tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    assert main(["roundtrip", "--n", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()

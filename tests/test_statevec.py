@@ -284,6 +284,16 @@ class TestDensityMatrix:
         assert np.array_equal(again.entries, rho.entries)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, "2"])
+def test_from_dict_takes_only_json_integers(count):
+    rho = {"dim": count, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+    with pytest.raises(ValueError, match="dim must be the JSON integer 2"):
+        DensityMatrix.from_dict(rho)
+    ket = {"num_qubits": count, "amplitudes": [[1, 0]] + [[0, 0]] * 3}
+    with pytest.raises(ValueError, match="num_qubits must be an integer in"):
+        Ket.from_dict(ket)
+
+
 def test_random_kets_stay_normalized_through_gate_chains():
     rng = np.random.default_rng(11)
     k = random_ket(rng, 4)
