@@ -211,7 +211,7 @@ def pauli_masks(message, n_pairs: int):
 
 @cache
 def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables for encoded_amplitudes, 2**n_pairs entries each.
+    """Lookup tables for _encoding_support, 2**n_pairs entries each.
 
     low[:, v] and high[:, v] are the stacked (z, x) masks contributed by a
     message's low and high N bits equal to v, so a message's masks are
@@ -231,38 +231,73 @@ def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, signs
 
 
+def _encoding_support(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of each message's encoding, after checking both
+    arguments: (rows, cols, values), where row rows[c] = c of message b holds
+    values[b, c] at column cols[b, c].  rows has shape (2**n_pairs,) and
+    broadcasts against the (len(messages), 2**n_pairs) cols and values.
+
+    As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
+    2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
+    row c holds (-1)^popcount(z & c) / 2^{N/2} at column c⊕x and zeros
+    elsewhere.
+    """
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    messages = np.asarray(messages).reshape(-1)
+    if messages.size:
+        if messages.dtype.kind not in "iu":
+            raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
+        if messages.min() < 0 or messages.max() >= 4**n_pairs:
+            bad = (messages < 0) | (messages >= 4**n_pairs)
+            limits.check_message(int(messages[bad][0]), n_pairs)
+    messages = messages.astype(np.int64, copy=False)
+    d = 2**n_pairs
+    low, high, signs = _encoding_tables(n_pairs)
+    z, x = (low[:, messages & (d - 1)] | high[:, messages >> n_pairs])[..., None]
+    rows = np.arange(d)
+    return rows, rows ^ x, signs[z & rows]
+
+
+def _scatter(positions: np.ndarray, values: np.ndarray, n_pairs: int) -> np.ndarray:
+    """A (len(values), 4**n_pairs) float64 array, zero except values[b] at
+    positions[b] in row b; positions is overwritten."""
+    size = 4**n_pairs
+    amps = np.zeros((len(values), size))
+    positions += np.arange(0, amps.size, size)[:, None]
+    amps.reshape(-1)[positions] = values
+    return amps
+
+
 def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     """Amplitudes of the generalized Bell state of each message, one row each:
     a (len(messages), 4**n_pairs) float64 array.
 
-    As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
-    2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
-    entry [b⊕x, b] is (-1)^popcount(z & (b⊕x)) / 2^{N/2} and every other
-    entry is zero.  Built directly, without applying gates one by one, and
+    Each row is the signed permutation of _encoding_support, Ψ[row, col] at
+    row·2^N + col: built directly, without applying gates one by one, and
     real, since every amplitude is.
     """
-    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    messages = np.asarray(messages).reshape(-1)
-    if messages.size and messages.dtype.kind not in "iu":
-        raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
-    bad = (messages < 0) | (messages >= 4**n_pairs)
-    if bad.any():
-        limits.check_message(int(messages[bad][0]), n_pairs)
-    messages = messages.astype(np.int64)
-    d = 2**n_pairs
-    low, high, signs = _encoding_tables(n_pairs)
-    z, x = (low[:, messages & (d - 1)] | high[:, messages >> n_pairs])[..., None]
-    cols = np.arange(d)
-    rows = cols ^ x
-    amps = np.zeros((messages.size, d * d))
-    flat = (np.arange(messages.size)[:, None] * d + rows) * d + cols
-    amps.reshape(-1)[flat] = signs[z & rows]
-    return amps
+    rows, cols, values = _encoding_support(messages, n_pairs)
+    return _scatter(rows * 2**n_pairs + cols, values, n_pairs)
+
+
+def encoded_after_cnots(messages, n_pairs: int) -> np.ndarray:
+    """Each message's encoding in the layout the Bell measurement transforms:
+    G[b, x, c] = Ψ_b[c, c⊕x], flattened to a (len(messages), 4**n_pairs)
+    float64 array.
+
+    This is the state after the receiver's CNOTs (sender qubit k controls
+    receiver qubit k), with the receiver's register x most significant.  It
+    equals encoded_amplitudes gathered through protocol's measurement table,
+    but the support of _encoding_support is scattered straight to
+    (row⊕col)·2^N + row, so no ket-ordered array is built.
+    """
+    rows, cols, values = _encoding_support(messages, n_pairs)
+    return _scatter((rows ^ cols) * 2**n_pairs + rows, values, n_pairs)
 
 
 def s_state(message: int, n_pairs: int) -> Ket:
     """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
-    string applied to s0 (see encoded_amplitudes), which checks both arguments."""
+    string applied to s0 (see _encoding_support), which checks both arguments."""
     return Ket(2 * n_pairs, encoded_amplitudes([message], n_pairs)[0])
 
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .protocol import _measurement_tables, _pauli_coefficients
-from .statevec import DensityMatrix, Ket, hermitian_eigenvalues
+from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
 ORTHOGONALITY_TOL = 1e-8
@@ -66,11 +67,11 @@ class CapacityReport:
     @classmethod
     def from_dict(cls, data: dict) -> CapacityReport:
         return cls(
-            d_A=int(data["d_A"]),
-            entropy_B=float(data["S_B"]),
-            entropy_AB=float(data["S_AB"]),
-            chi=float(data["chi"]),
-            holevo=float(data["holevo"]),
+            d_A=json_value(data, "d_A", int),
+            entropy_B=float(json_value(data, "S_B", float)),
+            entropy_AB=float(json_value(data, "S_AB", float)),
+            chi=float(json_value(data, "chi", float)),
+            holevo=float(json_value(data, "holevo", float)),
         )
 
 
@@ -84,9 +85,14 @@ def dense_coding_capacity(
     not describe its own split.  A ``Ket`` is pure, so S(rho_AB) = 0 and
     S(rho_B) is the entropy of its squared Schmidt coefficients: one SVD of
     the d_A x bob_dims amplitude matrix, no d x d matrix.  A
-    ``DensityMatrix`` takes both entropies from eigenvalues.
+    ``DensityMatrix`` takes both entropies from eigenvalues.  A ``Ket`` of
+    more than 2·MAX_CAPACITY_PAIRS qubits is refused before the SVD.
     """
-    dim = 2**state.num_qubits if isinstance(state, Ket) else state.dim
+    if isinstance(state, Ket):
+        limits.check("pair count", (state.num_qubits + 1) // 2, "MAX_CAPACITY_PAIRS")
+        dim = 2**state.num_qubits
+    else:
+        dim = state.dim
     if d_a < 1 or bob_dims < 1 or d_a * bob_dims != dim:
         raise ValueError(f"bipartition {d_a} x {bob_dims} does not match dimension {dim}")
     if isinstance(state, Ket):

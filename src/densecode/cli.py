@@ -7,7 +7,10 @@ Exit codes: 0 success, 1 verification failure or internal fault, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 from functools import cache
 from pathlib import Path
@@ -63,6 +66,32 @@ def format_state(k: Ket) -> str:
         if abs(a) > 1e-12
     ]
     return " ".join(parts)
+
+
+def _check_out(out: str | None) -> None:
+    """Raise, before any work, the error _emit would raise for an --out path it
+    cannot write.  Nothing is opened, so nothing is created or truncated and
+    a FIFO's reader sees no extra writer."""
+    if out is None:
+        return
+    try:
+        mode = os.stat(out or ".").st_mode  # Path("") is "."
+    except FileNotFoundError as exc:
+        # a new file: _emit creates it, so its directory must be writable
+        parent = os.path.dirname(out) or "."
+        if os.access(parent, os.W_OK | os.X_OK):
+            return
+        reason = os.strerror(errno.EACCES) if os.path.isdir(parent) else exc.strerror
+    except OSError as exc:
+        reason = exc.strerror
+    else:
+        if stat.S_ISDIR(mode):
+            reason = os.strerror(errno.EISDIR)
+        elif not os.access(out, os.W_OK):
+            reason = os.strerror(errno.EACCES)
+        else:
+            return
+    raise UsageError(f"cannot write {out}: {reason}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -182,6 +211,7 @@ def cmd_capacity(args) -> int:
     dim = 2**state.num_qubits
     if d_a < 1 or dim % d_a:
         raise UsageError(f"--d-a {d_a} does not divide the state dimension {dim}")
+    _usage(limits.check, "pair count", (state.num_qubits + 1) // 2, "MAX_CAPACITY_PAIRS")
     report = capacity.dense_coding_capacity(state, d_a, dim // d_a)
     _emit_json(report.to_dict(), args.out)
     return 0
@@ -301,6 +331,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        _check_out(args.out)
         return args.run(args)
     except ValueError as exc:
         # any ValueError but a UsageError was raised after the arguments were

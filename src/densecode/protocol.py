@@ -14,8 +14,8 @@ from functools import cache
 import numpy as np
 
 from . import limits
-from .bellbasis import encoded_amplitudes, pauli_masks, pauli_string, s_state
-from .statevec import Ket, check_amplitudes
+from .bellbasis import encoded_after_cnots, pauli_masks, pauli_string, s_state
+from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
 # Messages are encoded and measured in blocks of this many amplitudes (128 KiB
@@ -61,13 +61,6 @@ def _blocks(count: int, n_pairs: int):
     return (slice(start, start + rows) for start in range(0, count, rows))
 
 
-def _checked_encoding(messages, n_pairs: int) -> np.ndarray:
-    """encoded_amplitudes of a block, put through the checks a Ket applies."""
-    amps = encoded_amplitudes(messages, n_pairs)
-    check_amplitudes(amps)
-    return amps
-
-
 @cache
 def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for _pauli_coefficients, one integer per amplitude each.
@@ -103,6 +96,28 @@ def _stage_bits(n_pairs: int) -> list[int]:
     return [n_pairs // stages + (i < n_pairs % stages) for i in range(stages)]
 
 
+def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform over c of a float64 stack
+    G[p, b, x, c], laid out x-major (x·2^N + c, or x and c as two axes):
+    entry [p, b, x·2^N + z] of the (parts, B, 4**n_pairs) result is
+    Σ_c (-1)^popcount(z & c) G[p, b, x, c].
+
+    The transform is a product with H_{2^N} = ⊗ H_{2^k} over groups of
+    k <= STAGE_BITS bits of c, one matrix product per group: O(4^N·Σ 2^k)
+    time per row, run by BLAS.  Applied to the state after the receiver's
+    CNOTs, these are the receiver's Hadamards.
+    """
+    parts, rows = g.shape[:2]
+    inner = 2**n_pairs
+    for bits in _stage_bits(n_pairs):
+        inner >>= bits
+        if inner == 1:
+            g = g.reshape(-1, 2**bits) @ _hadamard(bits)
+        else:
+            g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
+    return g.reshape(parts, rows, 4**n_pairs)
+
+
 def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     """Signed, unnormalised coefficients Σ_c (-1)^popcount(z & c) Ψ_b[c, c⊕x]
     for every Pauli mask pair (x, z) and every row ψ_b of a (B, 4**n_pairs)
@@ -113,29 +128,18 @@ def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     float64 gemm.  With a ket read as a 2^N x 2^N matrix Ψ (sender qubits
     index rows) the coefficient of (x, z) is 2^{N/2} <s_m|ψ> for the message
     with those masks; with a matrix ρ it is ±tr(ρ Z^z X^x).  One gather
-    G[b, x, c] = Ψ_b[c, c⊕x] followed by a Walsh–Hadamard transform over c
-    yields them all, with no 4^N x 4^N basis.  The transform is a product
-    with H_{2^N} = ⊗ H_{2^k} over groups of k <= STAGE_BITS bits of c, one
-    matrix product per group: O(4^N·Σ 2^k) time per row, run by BLAS.  This
-    is the CNOT + Hadamard Bell measurement carried out on amplitudes.
+    G[b, x, c] = Ψ_b[c, c⊕x] followed by _walsh_hadamard over c yields them
+    all, with no 4^N x 4^N basis.  This is the CNOT + Hadamard Bell
+    measurement carried out on amplitudes.
     """
-    d = 2**n_pairs
     gather = _measurement_tables(n_pairs)[0]
     parts = np.array((amps.real, amps.imag)) if np.iscomplexobj(amps) else amps[None]
-    g = np.take(parts, gather, axis=2)
-    inner = d
-    for bits in _stage_bits(n_pairs):
-        inner >>= bits
-        if inner == 1:
-            g = g.reshape(-1, 2**bits) @ _hadamard(bits)
-        else:
-            g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
-    return g.reshape(len(parts), len(amps), d * d)
+    return _walsh_hadamard(np.take(parts, gather, axis=2), n_pairs)
 
 
-def _outcome_squares(amps: np.ndarray, n_pairs: int) -> np.ndarray:
-    """|<s|ψ_b>|^2 for every outcome, in the transform's x-major order."""
-    coef = _pauli_coefficients(amps, n_pairs)
+def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|<s|ψ_b>|^2 for every outcome and row from a (parts, B, 4**n_pairs)
+    transform, in the transform's x-major order."""
     probs = np.square(coef[0])
     if len(coef) > 1:
         probs += np.square(coef[1])
@@ -147,7 +151,26 @@ def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
     of a (B, 4**n_pairs) stack of real or complex kets (see _pauli_coefficients)."""
     order = _measurement_tables(n_pairs)[1]
-    return np.take(_outcome_squares(amps, n_pairs), order, axis=1)
+    return np.take(_squares(_pauli_coefficients(amps, n_pairs), n_pairs), order, axis=1)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
+def _block_squares(messages, n_pairs: int) -> np.ndarray:
+    """|<s|s_m>|^2 for every outcome and message m of a block, in the
+    transform's x-major order, with the checks a Ket applies.
+
+    The encoding is built in the measurement's layout (encoded_after_cnots),
+    so the block goes straight to _walsh_hadamard.  That transform is
+    orthonormal up to the exact factor 2^N, so by Parseval each row of
+    squares sums to its encoding's squared norm, and a NaN or infinity in a
+    row reaches its sum.  Only when a sum is off by more than NORM_TOL is the
+    block put through check_amplitudes, which names the fault.
+    """
+    g = encoded_after_cnots(messages, n_pairs)
+    probs = _squares(_walsh_hadamard(g[None], n_pairs), n_pairs)
+    if not (abs(probs.sum(axis=1) - 1.0) <= NORM_TOL).all():
+        check_amplitudes(g)
+    return probs
 
 
 def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
@@ -237,10 +260,9 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     best = np.empty_like(messages)
     p = np.empty(messages.size)
     for block in _blocks(messages.size, n_pairs):
-        amps = _checked_encoding(messages[block], n_pairs)
-        probs = _outcome_squares(amps, n_pairs)
+        probs = _block_squares(messages[block], n_pairs)
         best[block] = probs.argmax(axis=1)
-        p[block] = probs.max(axis=1)
+        p[block] = probs[np.arange(len(probs)), best[block]]
     # best is a position in the transform's order; message m decodes right
     # when it is order[m]
     order = _measurement_tables(n_pairs)[1]
@@ -293,18 +315,18 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, data: dict) -> Transcript:
-        n_pairs = int(data["N"])
+        n_pairs = json_value(data, "N", int)
         steps = tuple(
             TranscriptStep(
-                message=int(s["message"]),
-                pauli=str(s["pauli"]),
+                message=json_value(s, "message", int),
+                pauli=json_value(s, "pauli", str),
                 qubits_sent=n_pairs,
-                outcome=int(s["outcome"]),
-                success=bool(s["success"]),
+                outcome=json_value(s, "outcome", int),
+                success=json_value(s, "success", bool),
             )
             for s in data["steps"]
         )
-        return cls(n_pairs, int(data["seed"]), steps)
+        return cls(n_pairs, json_value(data, "seed", int), steps)
 
     @classmethod
     def from_json(cls, text: str) -> Transcript:
@@ -320,15 +342,17 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES
     amplitudes; per-step measurement seeds come from one master PRNG, in
     message order, keeping whole transcripts reproducible from the session
-    seed.  encoded_amplitudes checks every message.
+    seed.  encoded_after_cnots checks every message.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
+    limits.check("session length", len(messages), "MAX_SESSION_STEPS", 0)
+    order = _measurement_tables(n_pairs)[1]
     rng = np.random.default_rng(seed)
     steps = []
     for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
-        probs = _bell_probabilities(_checked_encoding(sent, n_pairs), n_pairs)
+        probs = np.take(_block_squares(sent, n_pairs), order, axis=1)
         for m, row in zip(sent, probs):
             step_seed = int(rng.integers(0, 2**63))
             outcome = _sample_outcome(row, step_seed)

@@ -9,7 +9,9 @@ functions on immutable values.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,8 +50,33 @@ class Ket:
 
     @classmethod
     def from_dict(cls, data: dict) -> Ket:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(data["num_qubits"], amps)
+        return cls(data["num_qubits"], _complex_from_pairs(data["amplitudes"]))
+
+
+def _complex_from_pairs(pairs) -> np.ndarray:
+    """A JSON array of [re, im] number pairs as a complex array, converted in
+    one pass: a string or null raises TypeError, anything but a pair
+    ValueError."""
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("expected [re, im] number pairs")
+    try:
+        parts = array("d", chain.from_iterable(pairs))
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    return np.frombuffer(parts, dtype=complex)
+
+
+_JSON_TYPES = {int: "integer", bool: "true or false", float: "number", str: "string"}
+
+
+def json_value(data: dict, key: str, kind: type):
+    """data[key] when its JSON type is ``kind`` (int, bool, float or str),
+    else a ValueError naming the key: no coercion, a bool is not an integer,
+    and a float also takes a JSON integer."""
+    value = data[key]
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def check_amplitudes(amps: np.ndarray) -> None:
@@ -99,10 +126,7 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> DensityMatrix:
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in data["entries"]]
-        )
-        m = cls(entries)
+        m = cls(np.array([_complex_from_pairs(row) for row in data["entries"]]))
         dim = data["dim"]
         if type(dim) is not int or dim != m.dim:
             raise ValueError(f"dim must be the JSON integer {m.dim}, got {dim!r}")

@@ -1,10 +1,13 @@
 """The batched encoder and Bell-measurement kernel against their one-row views.
 
-roundtrip_all and session push messages through encoded_amplitudes and
-_bell_probabilities in blocks of BLOCK_AMPLITUDES amplitudes.  Each block
-must give exactly what the per-message functions give, for a single block
-(N = 1) and for many blocks with a ragged last one (N = 6).
+roundtrip_all and session push messages through encoded_after_cnots and
+_walsh_hadamard in blocks of BLOCK_AMPLITUDES amplitudes, checked by
+Parseval.  Each block must give exactly what the per-message functions give,
+for a single block (N = 1) and for many blocks with a ragged last one
+(N = 6), and a faulty block must raise what a Ket raises.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from densecode import (
     session,
 )
 from densecode import limits, protocol
+from densecode.bellbasis import encoded_after_cnots
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
 
@@ -57,6 +61,38 @@ def test_encoded_amplitudes_rejects_out_of_range_messages():
     with pytest.raises(ValueError, match="message must be in"):
         encoded_amplitudes([-1], 1)
     assert encoded_amplitudes([], 2).shape == (0, 16)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_encoded_after_cnots_is_the_gathered_encoding(n):
+    rng = np.random.default_rng(n)
+    lists = [
+        [],
+        [4**n - 1, 0, 2],  # unsorted
+        [1, 1, 0, 1],  # duplicates
+        rng.integers(0, 4**n, size=min(4**n, 40)),
+        np.array([3, 2], dtype=np.uint8),
+    ]
+    if n <= 3:
+        lists.append(np.arange(4**n))
+    gather = protocol._measurement_tables(n)[0]
+    for messages in lists:
+        layout = encoded_after_cnots(messages, n)
+        gathered = np.take(encoded_amplitudes(messages, n), gather, axis=1)
+        assert layout.shape == (len(messages), 4**n)
+        assert np.array_equal(layout, gathered.reshape(len(messages), 4**n))
+
+
+@pytest.mark.parametrize(
+    "messages", [[0, 16], [-1], [2, 3, 99], [1.5], np.array([0.0, 1.0]), [True]]
+)
+def test_both_encoders_reject_bad_messages_alike(messages):
+    with pytest.raises(ValueError) as expected:
+        encoded_amplitudes(messages, 2)
+    with pytest.raises(ValueError) as got:
+        encoded_after_cnots(messages, 2)
+    assert str(got.value) == str(expected.value)
+    assert re.match("message must be in|messages must be integers", str(got.value))
 
 
 def test_non_integer_messages_are_rejected_not_truncated():
@@ -115,8 +151,9 @@ def test_session_matches_the_per_message_path(n, count):
 
 
 def _corrupt_message_3(monkeypatch):
-    """Make the encoder protocol uses send (s_3 + s_5)/√2 for message 3."""
-    original = protocol.encoded_amplitudes
+    """Make the encoder protocol uses send (s_3 + s_5)/√2 for message 3; the
+    gather into the measurement's layout is linear, so it commutes with the sum."""
+    original = protocol.encoded_after_cnots
 
     def corrupted(messages, n_pairs):
         amps = original(messages, n_pairs)
@@ -125,7 +162,7 @@ def _corrupt_message_3(monkeypatch):
                 amps[i] = (amps[i] + original([5], n_pairs)[0]) * 2**-0.5
         return amps
 
-    monkeypatch.setattr(protocol, "encoded_amplitudes", corrupted)
+    monkeypatch.setattr(protocol, "encoded_after_cnots", corrupted)
 
 
 def test_non_basis_state_counts_as_a_failure(monkeypatch):
@@ -142,8 +179,8 @@ def test_failed_roundtrip_exits_1(monkeypatch, capsys):
 
 
 def test_blocks_get_the_checks_a_ket_gets(monkeypatch):
-    original = protocol.encoded_amplitudes
-    monkeypatch.setattr(protocol, "encoded_amplitudes", lambda m, n: 2 * original(m, n))
+    original = protocol.encoded_after_cnots
+    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: 2 * original(m, n))
     with pytest.raises(ValueError, match="not normalized"):
         roundtrip_all(2)
 
@@ -171,6 +208,57 @@ def test_check_amplitudes_on_stacks_matches_ket():
         Ket(2, good[1] * (1 + 1e-9))
 
 
+def _fault(kind, position):
+    """A corruption of an encoded block: a NaN or an infinity in row 1, at
+    the first nonzero or the first zero entry, or the whole block scaled."""
+
+    def corrupt(amps):
+        amps = amps.copy()
+        if kind in ("nan", "inf"):
+            row = amps[1]
+            spot = np.flatnonzero(row if position == "nonzero" else row == 0)[0]
+            row[spot] = np.nan if kind == "nan" else np.inf
+            return amps
+        return amps * {"2x": 2.0, "1e-9": 1 + 1e-9, "1e-11": 1 + 1e-11}[kind]
+
+    return corrupt
+
+
+_FINITE = "amplitudes must be finite, got NaN or infinity"
+_NORM = "amplitudes are not normalized"
+_FAULTS = [
+    ("nan", "nonzero", _FINITE),
+    ("nan", "zero", _FINITE),
+    ("inf", "nonzero", _FINITE),
+    ("inf", "zero", _FINITE),
+    ("2x", None, _NORM),
+    ("1e-9", None, _NORM),
+    ("1e-11", None, None),  # within NORM_TOL, as for a Ket
+]
+_BLOCK_RUNS = {
+    "roundtrip_all": lambda: roundtrip_all(2),
+    "session": lambda: session(2, [5, 1, 9, 1], seed=4),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_BLOCK_RUNS))
+@pytest.mark.parametrize("kind, position, message", _FAULTS)
+def test_block_faults_raise_what_a_ket_raises(monkeypatch, run, kind, position, message):
+    corrupt = _fault(kind, position)
+    row = corrupt(encoded_amplitudes([5, 1], 2))[1]
+    clean = _BLOCK_RUNS[run]()
+    original = protocol.encoded_after_cnots
+    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: corrupt(original(m, n)))
+    if message is None:
+        Ket(4, row)
+        assert _BLOCK_RUNS[run]() == clean
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Ket(4, row)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _BLOCK_RUNS[run]()
+
+
 @pytest.mark.parametrize("command", [["roundtrip"], ["session", "--random", "1"]])
 def test_size_cap_is_one_protocol_constant(capsys, command):
     cap = limits.MAX_PROTOCOL_PAIRS
@@ -181,8 +269,8 @@ def test_size_cap_is_one_protocol_constant(capsys, command):
 
 
 def _double_the_encoding(monkeypatch):
-    original = protocol.encoded_amplitudes
-    monkeypatch.setattr(protocol, "encoded_amplitudes", lambda m, n: 2 * original(m, n))
+    original = protocol.encoded_after_cnots
+    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: 2 * original(m, n))
 
 
 @pytest.mark.parametrize(

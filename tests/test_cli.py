@@ -109,6 +109,18 @@ class TestCapacityCommand:
             assert out == ""
             assert err.startswith(f"error: malformed state in {path}: num_qubits ")
 
+    @pytest.mark.parametrize(
+        "amplitudes", ['[["1", "0"], ["0", "0"]]', "[[1, 0], [0]]", "[[1, 0, 0], [0, 0, 0]]", "[1, 0]"]
+    )
+    def test_malformed_amplitudes(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"num_qubits": 1, "amplitudes": {amplitudes}}}')
+        code, out, err = run(capsys, "capacity", f"file:{path}", "--d-a", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed state in {path}: ")
+        assert err.count("\n") == 1
+
     def test_non_finite_state(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"num_qubits": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')

@@ -4,11 +4,13 @@ next; and the exit-code contract of every subcommand (2 for bad arguments,
 1 for a ValueError raised by the library after the arguments were checked).
 """
 
+import errno
 import json
+import os
 
 import pytest
 
-from densecode import Transcript, bellbasis, capacity, cli
+from densecode import Transcript, bellbasis, capacity, cli, protocol
 from densecode.cli import DEFAULT_SEED, main
 
 
@@ -139,3 +141,36 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, target):
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [("directory", errno.EISDIR), ("missing/out.txt", errno.ENOENT), ("file/out.txt", errno.ENOTDIR)],
+)
+def test_unwritable_out_fails_before_the_work(monkeypatch, capsys, tmp_path, target, code):
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file").write_text("kept")
+
+    def never(n_pairs):
+        raise AssertionError("the round trip ran before --out was checked")
+
+    monkeypatch.setattr(protocol, "roundtrip_all", never)
+    out = tmp_path / target
+    assert main(["roundtrip", "--n", "6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_out_check_neither_creates_nor_truncates(capsys, tmp_path):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("kept")
+    new = tmp_path / "new.txt"
+    # the arguments fail after the --out check: nothing is written
+    assert main(["session", "--n", "1", "4", "--out", str(existing)]) == 2
+    assert main(["session", "--n", "1", "4", "--out", str(new)]) == 2
+    assert existing.read_text() == "kept"
+    assert not new.exists()
+    assert main(["roundtrip", "--n", "1", "--out", str(existing)]) == 0
+    assert existing.read_text().startswith("2 bits via 1 qubits")

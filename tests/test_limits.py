@@ -1,13 +1,25 @@
 """The limits table: values derived from the byte budget, the one checker's
 error text, and no size limit defined anywhere else in the package."""
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densecode import Ket, basis_matrix, factorize_s0, limits, roundtrip_all, s0, session
+from densecode import (
+    Ket,
+    basis_matrix,
+    dense_coding_capacity,
+    factorize_s0,
+    g_state,
+    limits,
+    roundtrip_all,
+    s0,
+    session,
+)
+from densecode.cli import main
 
 SRC = Path(limits.__file__).parent
 
@@ -75,6 +87,31 @@ def test_check_returns_integers_and_names_the_entry():
 def test_library_sites_use_the_table(call, entry):
     with pytest.raises(ValueError, match=re.escape(entry)):
         call()
+
+
+def test_session_length_is_checked_in_the_library(monkeypatch):
+    monkeypatch.setitem(limits.CAPS, "MAX_SESSION_STEPS", 2)
+    assert len(session(1, [0, 3], 0).steps) == 2
+    with pytest.raises(ValueError) as info:
+        session(1, [0, 3, 1], 0)
+    assert str(info.value) == "session length must be in [0, 2] (MAX_SESSION_STEPS), got 3"
+
+
+def test_capacity_of_a_ket_is_checked_in_the_library_and_the_cli(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(limits.CAPS, "MAX_CAPACITY_PAIRS", 1)
+    err = "pair count must be in [1, 1] (MAX_CAPACITY_PAIRS), got 2"
+    assert dense_coding_capacity(s0(1), 2, 2).chi == 2.0
+    with pytest.raises(ValueError, match=re.escape(err)):
+        dense_coding_capacity(g_state(1), 4, 4)
+    # an odd qubit count rounds up: three qubits need two pairs
+    with pytest.raises(ValueError, match=re.escape(err)):
+        dense_coding_capacity(Ket(3, [1, 0, 0, 0, 0, 0, 0, 0]), 2, 4)
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(g_state(1).to_dict()))
+    assert main(["capacity", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_ket_takes_numpy_integer_counts_as_int():

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from densecode import (
+    CapacityReport,
     NotABasisStateError,
     Transcript,
     decode,
@@ -196,6 +199,48 @@ class TestSession:
         data = session(1, [2], seed=8).to_dict()
         assert set(data) == {"N", "seed", "steps"}
         assert set(data["steps"][0]) == {"message", "pauli", "outcome", "success"}
+
+
+_GOOD = {
+    Transcript: {
+        "N": 1,
+        "seed": 2,
+        "steps": [{"message": 3, "pauli": "Z1 X1", "outcome": 3, "success": False}],
+    },
+    CapacityReport: {"d_A": 4, "S_B": 2.0, "S_AB": 0, "chi": 4.0, "holevo": 4.0},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, path, bad",
+    [
+        (Transcript, ("N",), True),
+        (Transcript, ("N",), 1.0),
+        (Transcript, ("seed",), 2.9),
+        (Transcript, ("seed",), "2"),
+        (Transcript, ("steps", 0, "message"), "3"),
+        (Transcript, ("steps", 0, "message"), False),
+        (Transcript, ("steps", 0, "pauli"), 5),
+        (Transcript, ("steps", 0, "outcome"), 1.7),
+        (Transcript, ("steps", 0, "success"), "false"),
+        (Transcript, ("steps", 0, "success"), 0),
+        (CapacityReport, ("d_A",), 4.0),
+        (CapacityReport, ("d_A",), True),
+        (CapacityReport, ("S_B",), "2.0"),
+        (CapacityReport, ("S_AB",), None),
+        (CapacityReport, ("chi",), True),
+        (CapacityReport, ("holevo",), [4.0]),
+    ],
+)
+def test_from_dict_takes_only_json_types(cls, path, bad):
+    data = copy.deepcopy(_GOOD[cls])
+    cls.from_dict(data)  # the record loads before the one field is spoiled
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError, match=f"^{path[-1]} must be a JSON "):
+        cls.from_dict(data)
 
 
 def test_pauli_tokens_z_before_x_per_qubit():

@@ -294,6 +294,32 @@ def test_from_dict_takes_only_json_integers(count):
         Ket.from_dict(ket)
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [["1", "0"], ["0", "0"]],  # numeric strings are not numbers
+        [[1, 0], [0]],  # ragged pairs
+        [[1, 0, 0], [0, 0, 0]],  # not pairs
+        [1, 0],  # not nested
+        [[[1, 0]], [[0, 0]]],  # nested too deep
+        [[None, 0], [0, 0]],
+        [[10**400, 0], [0, 0]],  # no float holds it
+        [],
+    ],
+)
+def test_ket_from_dict_rejects_malformed_amplitudes(amplitudes):
+    with pytest.raises((TypeError, ValueError)):
+        Ket.from_dict({"num_qubits": 1, "amplitudes": amplitudes})
+
+
+def test_from_dict_keeps_every_bit_of_each_pair():
+    # str, not ==, so the sign of each zero counts
+    k = Ket.from_dict({"num_qubits": 1, "amplitudes": [[-0.0, 0.6], [0.8, -0.0]]})
+    assert str(k.to_dict()["amplitudes"]) == "[[-0.0, 0.6], [0.8, -0.0]]"
+    rho = {"dim": 2, "entries": [[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]]]}
+    assert DensityMatrix.from_dict(rho).to_dict() == rho
+
+
 def test_random_kets_stay_normalized_through_gate_chains():
     rng = np.random.default_rng(11)
     k = random_ket(rng, 4)
