@@ -2,12 +2,15 @@
 deterministic decoding, bit conventions, and session transcripts.
 
 Messages are integers in [0, 2^(2N) - 1]; every round trip moves 2N
-classical bits while only the sender's N qubits change hands.
+classical bits while only the sender's N qubits change hands.  roundtrip_all
+and session measure messages in blocks, and transform only the rows of each
+block that the receiver's CNOTs leave nonzero: one of 2^N per basis message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -18,9 +21,11 @@ from .bellbasis import encoded_after_cnots, pauli_masks, pauli_string, s_state
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
-# Messages are encoded and measured in blocks of this many amplitudes (128 KiB
-# of float64 per array), so numpy's per-call overhead is paid once per block.
-BLOCK_AMPLITUDES = 2**14
+# Messages are encoded and measured in blocks of this many amplitudes (1 MiB of
+# float64 per array), so numpy's per-call overhead is paid once per block.  Not
+# larger: each block is held two or three times at once, and the benchmark
+# gates peak RSS at +10%.
+BLOCK_AMPLITUDES = 2**17
 # The Walsh–Hadamard transform over 2^N points is done as products with ±1
 # Hadamard matrices of at most 2**STAGE_BITS rows: one gemm for N <= 6.
 STAGE_BITS = 6
@@ -98,8 +103,9 @@ def _stage_bits(n_pairs: int) -> list[int]:
 
 def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
     """Unnormalised Walsh–Hadamard transform over c of a float64 stack
-    G[p, b, x, c], laid out x-major (x·2^N + c, or x and c as two axes):
-    entry [p, b, x·2^N + z] of the (parts, B, 4**n_pairs) result is
+    G[p, b, x, c], laid out x-major (x·2^N + c, or x and c as two axes; a
+    stack of single x-rows G[p, b, c] works too): entry [p, b, x·2^N + z] of
+    the result, shaped (parts, B, entries per row), is
     Σ_c (-1)^popcount(z & c) G[p, b, x, c].
 
     The transform is a product with H_{2^N} = ⊗ H_{2^k} over groups of
@@ -108,6 +114,7 @@ def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
     CNOTs, these are the receiver's Hadamards.
     """
     parts, rows = g.shape[:2]
+    width = math.prod(g.shape[2:])
     inner = 2**n_pairs
     for bits in _stage_bits(n_pairs):
         inner >>= bits
@@ -115,7 +122,7 @@ def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
             g = g.reshape(-1, 2**bits) @ _hadamard(bits)
         else:
             g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
-    return g.reshape(parts, rows, 4**n_pairs)
+    return g.reshape(parts, rows, width)
 
 
 def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -154,23 +161,48 @@ def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     return np.take(_squares(_pauli_coefficients(amps, n_pairs), n_pairs), order, axis=1)
 
 
-@np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
-def _block_squares(messages, n_pairs: int) -> np.ndarray:
-    """|<s|s_m>|^2 for every outcome and message m of a block, in the
-    transform's x-major order, with the checks a Ket applies.
+def _live_squares(g: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """|<s|ψ_b>|^2 for every outcome, on the live x-rows of a (B, 4**n_pairs)
+    block G[b, x, c] in the measurement's layout: (live, probs), where live
+    holds the positions b·2^N + x of the rows with any nonzero, NaN or
+    infinite entry, ascending, and probs[i, z] is the square for outcome
+    (x, z) of ket b, where live[i] = b·2^N + x.  Every other row transforms
+    to exactly zero (see _dense_squares)."""
+    rows = g.reshape(-1, 2**n_pairs)
+    # (rows != 0).any(axis=1) as a boolean matrix product, which is about
+    # twice as fast on rows of 2^5 entries
+    live = np.flatnonzero((rows != 0) @ np.ones(2**n_pairs, dtype=bool))
+    return live, _squares(_walsh_hadamard(rows[live][None], n_pairs), n_pairs)
 
-    The encoding is built in the measurement's layout (encoded_after_cnots),
-    so the block goes straight to _walsh_hadamard.  That transform is
-    orthonormal up to the exact factor 2^N, so by Parseval each row of
-    squares sums to its encoding's squared norm, and a NaN or infinity in a
-    row reaches its sum.  Only when a sum is off by more than NORM_TOL is the
-    block put through check_amplitudes, which names the fault.
+
+def _dense_squares(live: np.ndarray, probs: np.ndarray, count: int, n_pairs: int) -> np.ndarray:
+    """_live_squares put back in a (count, 4**n_pairs) array of squares in
+    the transform's x-major order, zero on every other row."""
+    d = 2**n_pairs
+    dense = np.zeros((count * d, d))
+    dense[live] = probs
+    return dense.reshape(count, d * d)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
+def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """_live_squares of a block's encodings, with the checks a Ket applies.
+
+    The encoding is built in the measurement's layout (encoded_after_cnots).
+    After the CNOTs a basis message's receiver register holds its X-mask, so
+    one of its 2^N x-rows is live and only that row is transformed.  The
+    transform is orthonormal up to the exact factor 2^N, so by Parseval the
+    squares of a message's live rows sum to its encoding's squared norm, and
+    a NaN or infinity, being live, reaches that sum.  Only when a sum is off
+    by more than NORM_TOL is the block put through check_amplitudes, which
+    names the fault.
     """
     g = encoded_after_cnots(messages, n_pairs)
-    probs = _squares(_walsh_hadamard(g[None], n_pairs), n_pairs)
-    if not (abs(probs.sum(axis=1) - 1.0) <= NORM_TOL).all():
+    live, probs = _live_squares(g, n_pairs)
+    sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=len(g))
+    if not (abs(sums - 1.0) <= NORM_TOL).all():
         check_amplitudes(g)
-    return probs
+    return live, probs
 
 
 def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
@@ -251,25 +283,31 @@ class RoundTripReport:
 def roundtrip_all(n_pairs: int) -> RoundTripReport:
     """Encode and decode every message; a noiseless channel must never fail.
 
-    Messages go through in blocks of BLOCK_AMPLITUDES amplitudes.  A message
-    that decodes to another one, or to no basis state with certainty, is
-    listed in ``failures``.
+    Messages go through in blocks of BLOCK_AMPLITUDES amplitudes, measured on
+    their live rows (_block_squares).  Message m decodes right when one of
+    its live rows peaks at its position order[m] in the transform's order
+    with probability at least 1 - DECODE_TOL.  The squares of a message sum
+    to 1 within NORM_TOL, so that peak is the message's largest square, as a
+    dense argmax would find.  A message that decodes to another one, or to
+    no basis state with certainty, is listed in ``failures``.
     """
     limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
-    messages = np.arange(4**n_pairs)
-    best = np.empty_like(messages)
-    p = np.empty(messages.size)
-    for block in _blocks(messages.size, n_pairs):
-        probs = _block_squares(messages[block], n_pairs)
-        best[block] = probs.argmax(axis=1)
-        p[block] = probs[np.arange(len(probs)), best[block]]
-    # best is a position in the transform's order; message m decodes right
-    # when it is order[m]
+    d = 2**n_pairs
     order = _measurement_tables(n_pairs)[1]
-    failures = np.flatnonzero((best != order) | (p < 1.0 - DECODE_TOL))
+    messages = np.arange(d * d)
+    decoded = np.zeros(messages.size, dtype=bool)
+    for block in _blocks(messages.size, n_pairs):
+        live, probs = _block_squares(messages[block], n_pairs)
+        best = probs.argmax(axis=1)
+        sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
+        # live row b·2^N + x peaks at x·2^N + best in message b's order
+        m = block.start + (live >> n_pairs)
+        right = (live & (d - 1)) * d + best == order[m]
+        decoded[m[sure & right]] = True
+    failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,
-        message_count=4**n_pairs,
+        message_count=d * d,
         qubits_per_message=n_pairs,
         bits_per_qubit=2.0,
         failures=tuple(failures.tolist()),
@@ -340,7 +378,8 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
     data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES
-    amplitudes; per-step measurement seeds come from one master PRNG, in
+    amplitudes, on their live rows, whose squares are put back in full rows
+    before sampling; per-step measurement seeds come from one master PRNG, in
     message order, keeping whole transcripts reproducible from the session
     seed.  encoded_after_cnots checks every message.
     """
@@ -352,7 +391,8 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     steps = []
     for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
-        probs = np.take(_block_squares(sent, n_pairs), order, axis=1)
+        squares = _dense_squares(*_block_squares(sent, n_pairs), len(sent), n_pairs)
+        probs = np.take(squares, order, axis=1)
         for m, row in zip(sent, probs):
             step_seed = int(rng.integers(0, 2**63))
             outcome = _sample_outcome(row, step_seed)

@@ -55,15 +55,19 @@ class Ket:
 
 def _complex_from_pairs(pairs) -> np.ndarray:
     """A JSON array of [re, im] number pairs as a complex array, converted in
-    one pass: a string or null raises TypeError, anything but a pair
-    ValueError."""
+    one pass: a string or null raises TypeError, anything but a pair, or a
+    true or false, ValueError."""
     if set(map(len, pairs)) - {2}:
         raise ValueError("expected [re, im] number pairs")
     try:
         parts = array("d", chain.from_iterable(pairs))
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
-    return np.frombuffer(parts, dtype=complex)
+    flat = np.frombuffer(parts)
+    # a JSON true or false converts to 1.0 or 0.0, so only then look for one
+    if ((flat == 0) | (flat == 1)).any() and bool in map(type, chain.from_iterable(pairs)):
+        raise ValueError("expected [re, im] number pairs, got true or false")
+    return flat.view(complex)
 
 
 _JSON_TYPES = {int: "integer", bool: "true or false", float: "number", str: "string"}

@@ -1,10 +1,12 @@
 """The batched encoder and Bell-measurement kernel against their one-row views.
 
 roundtrip_all and session push messages through encoded_after_cnots and
-_walsh_hadamard in blocks of BLOCK_AMPLITUDES amplitudes, checked by
-Parseval.  Each block must give exactly what the per-message functions give,
-for a single block (N = 1) and for many blocks with a ragged last one
-(N = 6), and a faulty block must raise what a Ket raises.
+_walsh_hadamard in blocks of BLOCK_AMPLITUDES amplitudes, transforming only
+each block's live rows and checking them by Parseval.  Each block must give
+exactly what the per-message functions give, for a single block (N = 1) and
+for many blocks with a ragged last one (N = 6), the live rows must give
+exactly the dense transform's squares, and a faulty block must raise what a
+Ket raises.
 """
 
 import re
@@ -123,6 +125,74 @@ def test_roundtrip_sizes_span_one_block_to_many():
     assert len(list(protocol._blocks(4**6, 6))) > 1
 
 
+def test_an_n6_block_holds_more_than_four_messages():
+    assert len(range(4**6)[next(protocol._blocks(4**6, 6))]) > 4
+
+
+def _assert_live_rows_give_the_dense_squares(g, n):
+    """_live_squares put back in place against the transform of every row.
+    No square is -0.0, so equality with NaNs equal is equality bit for bit
+    up to NaN payloads."""
+    live, probs = protocol._live_squares(g, n)
+    dense = protocol._squares(protocol._walsh_hadamard(g[None], n), n)
+    got = protocol._dense_squares(live, probs, len(g), n)
+    assert np.array_equal(got, dense, equal_nan=True)
+    return np.bincount(live >> n, minlength=len(g))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_live_rows_give_the_dense_squares_on_encoder_output(n):
+    rows = max(1, protocol.BLOCK_AMPLITUDES >> 2 * n)
+    lists = [
+        np.random.default_rng(n).integers(0, 4**n, size=rows + 3),  # a ragged last block
+        [1, 1, 0, 1],  # duplicates
+        np.array([3, 2], dtype=np.uint8),
+    ]
+    for messages in lists:
+        for block in protocol._blocks(len(messages), n):
+            g = encoded_after_cnots(messages[block], n)
+            # one live row per basis message: its X-mask after the CNOTs
+            assert (_assert_live_rows_give_the_dense_squares(g, n) == 1).all()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize(
+    "fault, live_rows",
+    [
+        ("superposed", [2, 1, 1, 1]),  # messages 3 and 1 differ in their X-mask
+        ("zero", [1, 1, 0, 1]),
+        ("nan", [1, 2, 1, 1]),  # at a zero entry: in another x-row
+        ("inf", [1, 2, 1, 1]),
+    ],
+)
+def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
+    g = encoded_after_cnots([3, 1, 0, 3], n)
+    if fault == "superposed":
+        g[0] = (g[0] + g[1]) * 2**-0.5
+    elif fault == "zero":
+        g[2] = 0
+    else:
+        g[1, np.flatnonzero(g[1] == 0)[0]] = np.nan if fault == "nan" else np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _assert_live_rows_give_the_dense_squares(g, n).tolist() == live_rows
+
+
+def _encode_message_3_as_5(monkeypatch):
+    original = protocol.encoded_after_cnots
+
+    def swapped(messages, n_pairs):
+        messages = np.asarray(messages).reshape(-1)
+        return original(np.where(messages == 3, 5, messages), n_pairs)
+
+    monkeypatch.setattr(protocol, "encoded_after_cnots", swapped)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_message_decoding_to_another_counts_as_a_failure(monkeypatch, n):
+    _encode_message_3_as_5(monkeypatch)
+    assert roundtrip_all(n).failures == (3,)
+
+
 def _session_one_message_at_a_time(n, messages, seed):
     """session as a loop over the one-row views: encode, then measure."""
     rng = np.random.default_rng(seed)
@@ -210,10 +280,14 @@ def test_check_amplitudes_on_stacks_matches_ket():
 
 def _fault(kind, position):
     """A corruption of an encoded block: a NaN or an infinity in row 1, at
-    the first nonzero or the first zero entry, or the whole block scaled."""
+    the first nonzero or the first zero entry, row 1 zeroed, or the whole
+    block scaled."""
 
     def corrupt(amps):
         amps = amps.copy()
+        if kind == "zero":
+            amps[1] = 0
+            return amps
         if kind in ("nan", "inf"):
             row = amps[1]
             spot = np.flatnonzero(row if position == "nonzero" else row == 0)[0]
@@ -231,6 +305,7 @@ _FAULTS = [
     ("nan", "zero", _FINITE),
     ("inf", "nonzero", _FINITE),
     ("inf", "zero", _FINITE),
+    ("zero", None, _NORM),
     ("2x", None, _NORM),
     ("1e-9", None, _NORM),
     ("1e-11", None, None),  # within NORM_TOL, as for a Ket
@@ -262,7 +337,7 @@ def test_block_faults_raise_what_a_ket_raises(monkeypatch, run, kind, position, 
 @pytest.mark.parametrize("command", [["roundtrip"], ["session", "--random", "1"]])
 def test_size_cap_is_one_protocol_constant(capsys, command):
     cap = limits.MAX_PROTOCOL_PAIRS
-    assert cap == 6
+    assert cap == 7
     assert main([*command, "--n", str(cap + 1)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: --n must be in [1, {cap}] (MAX_PROTOCOL_PAIRS), got {cap + 1}\n"

@@ -110,7 +110,14 @@ class TestCapacityCommand:
             assert err.startswith(f"error: malformed state in {path}: num_qubits ")
 
     @pytest.mark.parametrize(
-        "amplitudes", ['[["1", "0"], ["0", "0"]]', "[[1, 0], [0]]", "[[1, 0, 0], [0, 0, 0]]", "[1, 0]"]
+        "amplitudes",
+        [
+            '[["1", "0"], ["0", "0"]]',
+            "[[1, 0], [0]]",
+            "[[1, 0, 0], [0, 0, 0]]",
+            "[1, 0]",
+            "[[true, false], [false, false]]",
+        ],
     )
     def test_malformed_amplitudes(self, capsys, tmp_path, amplitudes):
         path = tmp_path / "bad.json"

@@ -121,7 +121,7 @@ def test_capacity_pair_count_error_names_the_limit(capsys):
             f"--random must be in [0, 524288] (MAX_SESSION_STEPS), got {10**15}",
         ),
         (["basis", "--n", "5"], "--n must be in [1, 4] (MAX_EMIT_PAIRS), got 5"),
-        (["roundtrip"], "--n must be an integer in [1, 6] (MAX_PROTOCOL_PAIRS), got None"),
+        (["roundtrip"], "--n must be an integer in [1, 7] (MAX_PROTOCOL_PAIRS), got None"),
     ],
 )
 def test_size_errors_name_the_input_and_the_limit(capsys, argv, err):

@@ -312,6 +312,26 @@ def test_ket_from_dict_rejects_malformed_amplitudes(amplitudes):
         Ket.from_dict({"num_qubits": 1, "amplitudes": amplitudes})
 
 
+@pytest.mark.parametrize(
+    "pair", [[True, False], [False, False], [1, True], [0.0, False]]
+)
+def test_from_dict_rejects_bools_as_amplitudes(pair):
+    # a bool is an int in Python and would load as 1.0 or 0.0
+    ket = {"num_qubits": 1, "amplitudes": [[1, 0], pair]}
+    with pytest.raises(ValueError, match="got true or false"):
+        Ket.from_dict(ket)
+    rho = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], pair]]}
+    with pytest.raises(ValueError, match="got true or false"):
+        DensityMatrix.from_dict(rho)
+
+
+def test_from_dict_still_takes_zeros_and_ones_as_numbers():
+    k = Ket.from_dict({"num_qubits": 1, "amplitudes": [[1, 0], [0.0, -0.0]]})
+    assert np.array_equal(k.amplitudes, [1, 0])
+    rho = {"dim": 2, "entries": [[[1.0, 0], [0, 0]], [[0, 0], [0, 0.0]]]}
+    assert DensityMatrix.from_dict(rho).to_dict() == rho
+
+
 def test_from_dict_keeps_every_bit_of_each_pair():
     # str, not ==, so the sign of each zero counts
     k = Ket.from_dict({"num_qubits": 1, "amplitudes": [[-0.0, 0.6], [0.8, -0.0]]})
