@@ -211,7 +211,7 @@ def pauli_masks(message, n_pairs: int):
 
 @cache
 def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables for _encoding_support, 2**n_pairs entries each.
+    """Lookup tables for the encoders, 2**n_pairs entries each.
 
     low[:, v] and high[:, v] are the stacked (z, x) masks contributed by a
     message's low and high N bits equal to v, so a message's masks are
@@ -231,6 +231,22 @@ def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, signs
 
 
+def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, x) masks of each message (see pauli_masks), after checking both
+    arguments: int64 arrays of shape (len(messages),)."""
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    messages = np.asarray(messages).reshape(-1)
+    if messages.size:
+        if messages.dtype.kind not in "iu":
+            raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
+        if messages.min() < 0 or messages.max() >= 4**n_pairs:
+            bad = (messages < 0) | (messages >= 4**n_pairs)
+            limits.check_message(int(messages[bad][0]), n_pairs)
+    messages = messages.astype(np.int64, copy=False)
+    low, high = _encoding_tables(n_pairs)[:2]
+    return low[:, messages & (2**n_pairs - 1)] | high[:, messages >> n_pairs]
+
+
 def _encoding_support(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries of each message's encoding, after checking both
     arguments: (rows, cols, values), where row rows[c] = c of message b holds
@@ -242,20 +258,9 @@ def _encoding_support(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray, n
     row c holds (-1)^popcount(z & c) / 2^{N/2} at column c⊕x and zeros
     elsewhere.
     """
-    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    messages = np.asarray(messages).reshape(-1)
-    if messages.size:
-        if messages.dtype.kind not in "iu":
-            raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
-        if messages.min() < 0 or messages.max() >= 4**n_pairs:
-            bad = (messages < 0) | (messages >= 4**n_pairs)
-            limits.check_message(int(messages[bad][0]), n_pairs)
-    messages = messages.astype(np.int64, copy=False)
-    d = 2**n_pairs
-    low, high, signs = _encoding_tables(n_pairs)
-    z, x = (low[:, messages & (d - 1)] | high[:, messages >> n_pairs])[..., None]
-    rows = np.arange(d)
-    return rows, rows ^ x, signs[z & rows]
+    z, x = _message_masks(messages, n_pairs)[..., None]
+    rows = np.arange(2**n_pairs)
+    return rows, rows ^ x, _encoding_tables(n_pairs)[2][z & rows]
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -289,10 +294,27 @@ def encoded_after_cnots(messages, n_pairs: int) -> np.ndarray:
     receiver qubit k), with the receiver's register x most significant.  It
     equals encoded_amplitudes gathered through protocol's measurement table,
     but the support of _encoding_support is scattered straight to
-    (row⊕col)·2^N + row, so no ket-ordered array is built.
+    (row⊕col)·2^N + row, so no ket-ordered array is built.  A dense reference
+    for tests: the protocol measures encoded_live_rows.
     """
     rows, cols, values = _encoding_support(messages, n_pairs)
     return _scatter((rows ^ cols) * 2**n_pairs + rows, values, n_pairs)
+
+
+def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of encoded_after_cnots: (live, rows), where live[b] =
+    b·2^N + x_b (int64, ascending) and rows[b, c] = (-1)^popcount(z_b & c) /
+    2^{N/2}, a (len(messages), 2**n_pairs) float64 array.
+
+    After the receiver's CNOTs the receiver's register holds the message's
+    X-mask x_b, so G[b, x, c] is zero on every x-row but x_b, and row x_b is
+    the signs of s0 under the message's Z-mask z_b.  Checks both arguments
+    as the other encoders do.
+    """
+    z, x = _message_masks(messages, n_pairs)
+    d = 2**n_pairs
+    live = np.arange(0, len(x) * d, d) + x
+    return live, np.take(_encoding_tables(n_pairs)[2], z[:, None] & np.arange(d))
 
 
 def s_state(message: int, n_pairs: int) -> Ket:

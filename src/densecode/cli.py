@@ -75,7 +75,7 @@ def _check_out(out: str | None) -> None:
     if out is None:
         return
     try:
-        mode = os.stat(out or ".").st_mode  # Path("") is "."
+        mode = os.stat(out or ".").st_mode  # "" is refused as "." is
     except FileNotFoundError as exc:
         # a new file: _emit creates it, so its directory must be writable
         parent = os.path.dirname(out) or "."
@@ -99,7 +99,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        # not Path(out).write_text: pathlib would intern the parts of every path
+        with open(out, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
@@ -182,11 +184,11 @@ def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, i
     elif selector == "ghz4":
         state, d_a = bellbasis.ghz4(), 4
     elif selector.startswith("s0:"):
-        try:
-            n = int(selector[3:])
-        except ValueError as exc:
-            raise UsageError(f"bad selector {selector!r}") from exc
-        _usage(limits.check, "s0:N", n, "MAX_CAPACITY_PAIRS")
+        digits = selector[3:]
+        # int() would also take signs, blanks, underscores and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise UsageError(f"bad selector {selector!r}")
+        n = _usage(limits.check, "s0:N", int(digits), "MAX_CAPACITY_PAIRS")
         state, d_a = bellbasis.s0(n), 2**n
     elif selector.startswith("file:"):
         path = Path(selector[5:])

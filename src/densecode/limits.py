@@ -27,9 +27,9 @@ MAX_CAPACITY_PAIRS = ((BYTE_BUDGET // (3 * AMPLITUDE_BYTES)).bit_length() - 1) /
 MAX_SESSION_STEPS = BYTE_BUDGET // SESSION_STEP_BYTES
 # policy, output size: `basis --n 4` already prints 256 states of 256 amplitudes
 MAX_EMIT_PAIRS = 4
-# policy, run time: roundtrip_all(6) takes about 0.025 s, roundtrip_all(7) about
-# 0.3 s and roundtrip_all(8) about 5 s (2-core box, OpenBLAS)
-MAX_PROTOCOL_PAIRS = 7
+# policy, run time: roundtrip_all(7) takes about 0.04 s and roundtrip_all(8) about
+# 0.3 s (2-core box, OpenBLAS)
+MAX_PROTOCOL_PAIRS = 8
 
 CAPS = {name: cap for name, cap in globals().items() if name.startswith("MAX_")}
 

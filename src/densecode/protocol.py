@@ -3,8 +3,10 @@ deterministic decoding, bit conventions, and session transcripts.
 
 Messages are integers in [0, 2^(2N) - 1]; every round trip moves 2N
 classical bits while only the sender's N qubits change hands.  roundtrip_all
-and session measure messages in blocks, and transform only the rows of each
-block that the receiver's CNOTs leave nonzero: one of 2^N per basis message.
+and session measure messages in blocks.  After the receiver's CNOTs a basis
+message's encoding is nonzero on one row of 2^N amplitudes, at its X-mask, so
+the encoder emits that row only (encoded_live_rows) and the receiver's
+Hadamards transform that row only.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from functools import cache
 import numpy as np
 
 from . import limits
-from .bellbasis import encoded_after_cnots, pauli_masks, pauli_string, s_state
+from .bellbasis import encoded_live_rows, pauli_masks, pauli_string, s_state
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
-# Messages are encoded and measured in blocks of this many amplitudes (1 MiB of
-# float64 per array), so numpy's per-call overhead is paid once per block.  Not
-# larger: each block is held two or three times at once, and the benchmark
-# gates peak RSS at +10%.
+# Messages are encoded and measured in blocks whose arrays hold at most this
+# many float64s (1 MiB), so numpy's per-call overhead is paid once per block:
+# 2^N per message for roundtrip_all's live rows, 4^N for session's squares.
 BLOCK_AMPLITUDES = 2**17
 # The Walsh–Hadamard transform over 2^N points is done as products with ±1
 # Hadamard matrices of at most 2**STAGE_BITS rows: one gemm for N <= 6.
@@ -59,10 +60,10 @@ def encode(message: int, n_pairs: int) -> Ket:
     return s_state(message, n_pairs)
 
 
-def _blocks(count: int, n_pairs: int):
-    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES // 4**N
-    rows (at least one row per block)."""
-    rows = max(1, BLOCK_AMPLITUDES >> 2 * n_pairs)
+def _blocks(count: int, row_size: int):
+    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES //
+    row_size messages (at least one), for arrays of row_size floats per message."""
+    rows = max(1, BLOCK_AMPLITUDES // row_size)
     return (slice(start, start + rows) for start in range(0, count, rows))
 
 
@@ -161,47 +162,34 @@ def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     return np.take(_squares(_pauli_coefficients(amps, n_pairs), n_pairs), order, axis=1)
 
 
-def _live_squares(g: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """|<s|ψ_b>|^2 for every outcome, on the live x-rows of a (B, 4**n_pairs)
-    block G[b, x, c] in the measurement's layout: (live, probs), where live
-    holds the positions b·2^N + x of the rows with any nonzero, NaN or
-    infinite entry, ascending, and probs[i, z] is the square for outcome
-    (x, z) of ket b, where live[i] = b·2^N + x.  Every other row transforms
-    to exactly zero (see _dense_squares)."""
-    rows = g.reshape(-1, 2**n_pairs)
-    # (rows != 0).any(axis=1) as a boolean matrix product, which is about
-    # twice as fast on rows of 2^5 entries
-    live = np.flatnonzero((rows != 0) @ np.ones(2**n_pairs, dtype=bool))
-    return live, _squares(_walsh_hadamard(rows[live][None], n_pairs), n_pairs)
-
-
-def _dense_squares(live: np.ndarray, probs: np.ndarray, count: int, n_pairs: int) -> np.ndarray:
-    """_live_squares put back in a (count, 4**n_pairs) array of squares in
-    the transform's x-major order, zero on every other row."""
+def _dense_rows(live: np.ndarray, rows: np.ndarray, count: int, n_pairs: int) -> np.ndarray:
+    """Rows of 2^N values put back in a zeroed (count, 4**n_pairs) block: row i
+    at positions live[i]·2^N .. live[i]·2^N + 2^N - 1."""
     d = 2**n_pairs
     dense = np.zeros((count * d, d))
-    dense[live] = probs
+    dense[live] = rows
     return dense.reshape(count, d * d)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
 def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """_live_squares of a block's encodings, with the checks a Ket applies.
+    """|<s|ψ_b>|^2 for every outcome on the live rows of a block's encodings,
+    with the checks a Ket applies: (live, probs), where probs[i, z] is the
+    square for outcome (x, z) of message b and live[i] = b·2^N + x.  Every
+    other row of the measurement's layout is zero (see _dense_rows).
 
-    The encoding is built in the measurement's layout (encoded_after_cnots).
-    After the CNOTs a basis message's receiver register holds its X-mask, so
-    one of its 2^N x-rows is live and only that row is transformed.  The
-    transform is orthonormal up to the exact factor 2^N, so by Parseval the
-    squares of a message's live rows sum to its encoding's squared norm, and
-    a NaN or infinity, being live, reaches that sum.  Only when a sum is off
-    by more than NORM_TOL is the block put through check_amplitudes, which
-    names the fault.
+    The transform is orthonormal up to the exact factor 2^N, so by Parseval
+    the squares of a message's live rows sum to its encoding's squared norm,
+    and a NaN or infinity reaches that sum.  Only when a sum is off by more
+    than NORM_TOL are the rows put back in a block for check_amplitudes,
+    which names the fault.
     """
-    g = encoded_after_cnots(messages, n_pairs)
-    live, probs = _live_squares(g, n_pairs)
-    sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=len(g))
+    live, rows = encoded_live_rows(messages, n_pairs)
+    probs = _squares(_walsh_hadamard(rows[None], n_pairs), n_pairs)
+    count = len(messages)
+    sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=count)
     if not (abs(sums - 1.0) <= NORM_TOL).all():
-        check_amplitudes(g)
+        check_amplitudes(_dense_rows(live, rows, count, n_pairs))
     return live, probs
 
 
@@ -283,7 +271,7 @@ class RoundTripReport:
 def roundtrip_all(n_pairs: int) -> RoundTripReport:
     """Encode and decode every message; a noiseless channel must never fail.
 
-    Messages go through in blocks of BLOCK_AMPLITUDES amplitudes, measured on
+    Messages go through in blocks of BLOCK_AMPLITUDES // 2^N, measured on
     their live rows (_block_squares).  Message m decodes right when one of
     its live rows peaks at its position order[m] in the transform's order
     with probability at least 1 - DECODE_TOL.  The squares of a message sum
@@ -296,7 +284,7 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     order = _measurement_tables(n_pairs)[1]
     messages = np.arange(d * d)
     decoded = np.zeros(messages.size, dtype=bool)
-    for block in _blocks(messages.size, n_pairs):
+    for block in _blocks(messages.size, d):
         live, probs = _block_squares(messages[block], n_pairs)
         best = probs.argmax(axis=1)
         sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
@@ -377,11 +365,11 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     Every step consumes a fresh shared resource state.  "Sending" the N
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
-    data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES
-    amplitudes, on their live rows, whose squares are put back in full rows
-    before sampling; per-step measurement seeds come from one master PRNG, in
+    data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES //
+    4^N, on their live rows, whose squares are put back in full rows before
+    sampling; per-step measurement seeds come from one master PRNG, in
     message order, keeping whole transcripts reproducible from the session
-    seed.  encoded_after_cnots checks every message.
+    seed.  encoded_live_rows checks every message.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
@@ -389,9 +377,9 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     order = _measurement_tables(n_pairs)[1]
     rng = np.random.default_rng(seed)
     steps = []
-    for block in _blocks(len(messages), n_pairs):
+    for block in _blocks(len(messages), 4**n_pairs):
         sent = messages[block]
-        squares = _dense_squares(*_block_squares(sent, n_pairs), len(sent), n_pairs)
+        squares = _dense_rows(*_block_squares(sent, n_pairs), len(sent), n_pairs)
         probs = np.take(squares, order, axis=1)
         for m, row in zip(sent, probs):
             step_seed = int(rng.integers(0, 2**63))

@@ -1,12 +1,14 @@
 """The batched encoder and Bell-measurement kernel against their one-row views.
 
-roundtrip_all and session push messages through encoded_after_cnots and
-_walsh_hadamard in blocks of BLOCK_AMPLITUDES amplitudes, transforming only
-each block's live rows and checking them by Parseval.  Each block must give
-exactly what the per-message functions give, for a single block (N = 1) and
-for many blocks with a ragged last one (N = 6), the live rows must give
-exactly the dense transform's squares, and a faulty block must raise what a
-Ket raises.
+roundtrip_all and session push messages through encoded_live_rows and
+_walsh_hadamard in blocks, transforming only each message's live row and
+checking it by Parseval.  Each block must give exactly what the per-message
+functions give, for a single block (N = 1) and for many blocks with a ragged
+last one (N = 6), the live rows must be the nonzero rows of the dense
+encoded_after_cnots and give exactly the dense transform's squares, and a
+faulty block must raise what a Ket raises.  Faults are built on a dense
+encoded_after_cnots block and handed to protocol as its live rows
+(_live_rows), found by any nonzero, NaN or infinite entry.
 """
 
 import re
@@ -28,7 +30,7 @@ from densecode import (
     session,
 )
 from densecode import limits, protocol
-from densecode.bellbasis import encoded_after_cnots
+from densecode.bellbasis import encoded_after_cnots, encoded_live_rows
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
 
@@ -85,15 +87,46 @@ def test_encoded_after_cnots_is_the_gathered_encoding(n):
         assert np.array_equal(layout, gathered.reshape(len(messages), 4**n))
 
 
+def _live_rows(g, n):
+    """The rows of a block in the measurement's layout with any nonzero, NaN or
+    infinite entry, as encoded_live_rows gives them: (live, rows)."""
+    rows = g.reshape(-1, 2**n)
+    live = np.flatnonzero((rows != 0).any(axis=1))
+    return live, rows[live]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_live_rows_are_the_nonzero_rows_of_the_dense_layout(n):
+    rng = np.random.default_rng(n)
+    lists = [
+        [],
+        [4**n - 1, 0, 2],  # unsorted, a ragged length
+        [1, 1, 0, 1],  # duplicates
+        np.array([3, 2], dtype=np.uint8),
+        rng.integers(0, 4**n, size=min(4**n, 41)),
+    ]
+    for messages in lists:
+        live, rows = encoded_live_rows(messages, n)
+        assert live.dtype == np.int64 and rows.dtype == np.float64
+        assert live.shape == (len(messages),) and rows.shape == (len(messages), 2**n)
+        assert (np.diff(live) > 0).all()
+        dense = encoded_after_cnots(messages, n)
+        assert np.array_equal(protocol._dense_rows(live, rows, len(messages), n), dense)
+        assert np.array_equal(live, _live_rows(dense, n)[0])
+
+
 @pytest.mark.parametrize(
     "messages", [[0, 16], [-1], [2, 3, 99], [1.5], np.array([0.0, 1.0]), [True]]
 )
 def test_both_encoders_reject_bad_messages_alike(messages):
+    """Both encoders in the measurement's layout raise what encoded_amplitudes
+    raises."""
     with pytest.raises(ValueError) as expected:
         encoded_amplitudes(messages, 2)
-    with pytest.raises(ValueError) as got:
-        encoded_after_cnots(messages, 2)
-    assert str(got.value) == str(expected.value)
+    for encoder in (encoded_after_cnots, encoded_live_rows):
+        with pytest.raises(ValueError) as got:
+            encoder(messages, 2)
+        assert str(got.value) == str(expected.value)
     assert re.match("message must be in|messages must be integers", str(got.value))
 
 
@@ -113,29 +146,30 @@ def test_non_integer_messages_are_rejected_not_truncated():
 def test_blocks_cover_every_message_once(n):
     count = 4**n + 3  # a ragged last block
     rows = max(1, protocol.BLOCK_AMPLITUDES // 4**n)
-    blocks = list(protocol._blocks(count, n))
+    blocks = list(protocol._blocks(count, 4**n))
     covered = [i for block in blocks for i in range(count)[block]]
     assert covered == list(range(count))
     assert all(len(range(count)[block]) <= rows for block in blocks)
 
 
 def test_roundtrip_sizes_span_one_block_to_many():
-    # test_protocol's roundtrip_all(1) and roundtrip_all(6) cover both ends
-    assert len(list(protocol._blocks(4**1, 1))) == 1
-    assert len(list(protocol._blocks(4**6, 6))) > 1
+    # test_protocol's roundtrip_all(1) and roundtrip_all(6) cover both ends;
+    # roundtrip_all's blocks hold 2^N floats per message
+    assert len(list(protocol._blocks(4**1, 2**1))) == 1
+    assert len(list(protocol._blocks(4**6, 2**6))) > 1
 
 
 def test_an_n6_block_holds_more_than_four_messages():
-    assert len(range(4**6)[next(protocol._blocks(4**6, 6))]) > 4
+    for row_size in (2**6, 4**6):  # roundtrip_all's and session's
+        assert len(range(4**6)[next(protocol._blocks(4**6, row_size))]) > 4
 
 
-def _assert_live_rows_give_the_dense_squares(g, n):
-    """_live_squares put back in place against the transform of every row.
-    No square is -0.0, so equality with NaNs equal is equality bit for bit
-    up to NaN payloads."""
-    live, probs = protocol._live_squares(g, n)
+def _assert_live_rows_give_the_dense_squares(g, n, live, probs):
+    """Squares of the live rows ``live`` of g put back in place against the
+    transform of every row.  No square is -0.0, so equality with NaNs equal is
+    equality bit for bit up to NaN payloads."""
     dense = protocol._squares(protocol._walsh_hadamard(g[None], n), n)
-    got = protocol._dense_squares(live, probs, len(g), n)
+    got = protocol._dense_rows(live, probs, len(g), n)
     assert np.array_equal(got, dense, equal_nan=True)
     return np.bincount(live >> n, minlength=len(g))
 
@@ -149,10 +183,11 @@ def test_live_rows_give_the_dense_squares_on_encoder_output(n):
         np.array([3, 2], dtype=np.uint8),
     ]
     for messages in lists:
-        for block in protocol._blocks(len(messages), n):
+        for block in protocol._blocks(len(messages), 4**n):
             g = encoded_after_cnots(messages[block], n)
+            live, probs = protocol._block_squares(messages[block], n)
             # one live row per basis message: its X-mask after the CNOTs
-            assert (_assert_live_rows_give_the_dense_squares(g, n) == 1).all()
+            assert (_assert_live_rows_give_the_dense_squares(g, n, live, probs) == 1).all()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -173,18 +208,30 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
         g[2] = 0
     else:
         g[1, np.flatnonzero(g[1] == 0)[0]] = np.nan if fault == "nan" else np.inf
+    live, rows = _live_rows(g, n)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert _assert_live_rows_give_the_dense_squares(g, n).tolist() == live_rows
+        probs = protocol._squares(protocol._walsh_hadamard(rows[None], n), n)
+        assert _assert_live_rows_give_the_dense_squares(g, n, live, probs).tolist() == live_rows
+
+
+def _corrupt_the_encoder(monkeypatch, corrupt):
+    """Make the encoder protocol uses emit the live rows of corrupt(G), G the
+    dense encoded_after_cnots block of its messages."""
+
+    def corrupted(messages, n_pairs):
+        return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
+
+    monkeypatch.setattr(protocol, "encoded_live_rows", corrupted)
 
 
 def _encode_message_3_as_5(monkeypatch):
-    original = protocol.encoded_after_cnots
+    original = protocol.encoded_live_rows
 
     def swapped(messages, n_pairs):
         messages = np.asarray(messages).reshape(-1)
         return original(np.where(messages == 3, 5, messages), n_pairs)
 
-    monkeypatch.setattr(protocol, "encoded_after_cnots", swapped)
+    monkeypatch.setattr(protocol, "encoded_live_rows", swapped)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -223,16 +270,17 @@ def test_session_matches_the_per_message_path(n, count):
 def _corrupt_message_3(monkeypatch):
     """Make the encoder protocol uses send (s_3 + s_5)/√2 for message 3; the
     gather into the measurement's layout is linear, so it commutes with the sum."""
-    original = protocol.encoded_after_cnots
 
     def corrupted(messages, n_pairs):
-        amps = original(messages, n_pairs)
-        for i, m in enumerate(np.asarray(messages).reshape(-1)):
-            if m == 3:
-                amps[i] = (amps[i] + original([5], n_pairs)[0]) * 2**-0.5
-        return amps
+        def corrupt(amps):
+            for i, m in enumerate(np.asarray(messages).reshape(-1)):
+                if m == 3:
+                    amps[i] = (amps[i] + encoded_after_cnots([5], n_pairs)[0]) * 2**-0.5
+            return amps
 
-    monkeypatch.setattr(protocol, "encoded_after_cnots", corrupted)
+        return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
+
+    monkeypatch.setattr(protocol, "encoded_live_rows", corrupted)
 
 
 def test_non_basis_state_counts_as_a_failure(monkeypatch):
@@ -249,10 +297,23 @@ def test_failed_roundtrip_exits_1(monkeypatch, capsys):
 
 
 def test_blocks_get_the_checks_a_ket_gets(monkeypatch):
-    original = protocol.encoded_after_cnots
-    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: 2 * original(m, n))
+    _double_the_encoding(monkeypatch)
     with pytest.raises(ValueError, match="not normalized"):
         roundtrip_all(2)
+
+
+def test_clean_blocks_are_never_put_back(monkeypatch):
+    """A clean block passes its Parseval sums, so roundtrip_all builds no
+    (B, 4^N) block and session only its squares."""
+
+    def never(*args):
+        raise AssertionError("a clean block was put back in the dense layout")
+
+    monkeypatch.setattr(protocol, "check_amplitudes", never)
+    assert all(s.success for s in session(3, range(64), seed=1).steps)
+    monkeypatch.setattr(protocol, "_dense_rows", never)
+    for n in (1, 5, 7):
+        assert roundtrip_all(n).failures == ()
 
 
 def test_check_amplitudes_on_stacks_matches_ket():
@@ -322,8 +383,7 @@ def test_block_faults_raise_what_a_ket_raises(monkeypatch, run, kind, position, 
     corrupt = _fault(kind, position)
     row = corrupt(encoded_amplitudes([5, 1], 2))[1]
     clean = _BLOCK_RUNS[run]()
-    original = protocol.encoded_after_cnots
-    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: corrupt(original(m, n)))
+    _corrupt_the_encoder(monkeypatch, corrupt)
     if message is None:
         Ket(4, row)
         assert _BLOCK_RUNS[run]() == clean
@@ -337,15 +397,14 @@ def test_block_faults_raise_what_a_ket_raises(monkeypatch, run, kind, position, 
 @pytest.mark.parametrize("command", [["roundtrip"], ["session", "--random", "1"]])
 def test_size_cap_is_one_protocol_constant(capsys, command):
     cap = limits.MAX_PROTOCOL_PAIRS
-    assert cap == 7
+    assert cap == 8
     assert main([*command, "--n", str(cap + 1)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: --n must be in [1, {cap}] (MAX_PROTOCOL_PAIRS), got {cap + 1}\n"
 
 
 def _double_the_encoding(monkeypatch):
-    original = protocol.encoded_after_cnots
-    monkeypatch.setattr(protocol, "encoded_after_cnots", lambda m, n: 2 * original(m, n))
+    _corrupt_the_encoder(monkeypatch, lambda amps: 2 * amps)
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,14 @@ def test_bad_arguments_exit_2_with_faulty_libraries(monkeypatch, capsys, argv):
     assert "injected" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "selector", ["s0:1_0", "s0:+2", "s0: 2", "s0:2 ", "s0:-1", "s0:", "s0:\u0663", "s0:\u00b2"]
+)
+def test_s0_pair_count_takes_ascii_decimal_digits_only(capsys, selector):
+    assert main(["capacity", selector]) == 2
+    assert capsys.readouterr().err == f"error: bad selector {selector!r}\n"
+
+
 def test_capacity_pair_count_error_names_the_limit(capsys):
     assert main(["capacity", "s0:14"]) == 2
     assert capsys.readouterr().err == "error: s0:N must be in [1, 12] (MAX_CAPACITY_PAIRS), got 14\n"
@@ -121,7 +129,7 @@ def test_capacity_pair_count_error_names_the_limit(capsys):
             f"--random must be in [0, 524288] (MAX_SESSION_STEPS), got {10**15}",
         ),
         (["basis", "--n", "5"], "--n must be in [1, 4] (MAX_EMIT_PAIRS), got 5"),
-        (["roundtrip"], "--n must be an integer in [1, 7] (MAX_PROTOCOL_PAIRS), got None"),
+        (["roundtrip"], "--n must be an integer in [1, 8] (MAX_PROTOCOL_PAIRS), got None"),
     ],
 )
 def test_size_errors_name_the_input_and_the_limit(capsys, argv, err):
@@ -161,6 +169,17 @@ def test_unwritable_out_fails_before_the_work(monkeypatch, capsys, tmp_path, tar
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
     assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_empty_out_path_is_refused_as_a_directory(capsys):
+    assert main(["roundtrip", "--n", "1", "--out", ""]) == 2
+    assert capsys.readouterr().err == f"error: cannot write : {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_a_write_that_fails_after_the_check_exits_2(capsys):
+    assert main(["roundtrip", "--n", "1", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_out_check_neither_creates_nor_truncates(capsys, tmp_path):

@@ -26,7 +26,7 @@ CASES = {
     "capacity_g1.json": ["capacity", "g1"],
     "capacity_ghz4.json": ["capacity", "ghz4"],
     "capacity_s0_3.json": ["capacity", "s0:3"],
-    **{f"roundtrip_n{n}.txt": ["roundtrip", "--n", str(n)] for n in range(1, 8)},
+    **{f"roundtrip_n{n}.txt": ["roundtrip", "--n", str(n)] for n in range(1, 9)},
     "session_n2_r10_s7.json": ["session", "--n", "2", "--random", "10", "--seed", "7"],
     "session_n3_r50_s11.json": ["session", "--n", "3", "--random", "50", "--seed", "11"],
 }

@@ -32,7 +32,7 @@ def test_derived_values():
     assert limits.MAX_CAPACITY_PAIRS == 12
     assert limits.MAX_SESSION_STEPS == 2**19
     assert limits.MAX_EMIT_PAIRS == 4
-    assert limits.MAX_PROTOCOL_PAIRS == 7
+    assert limits.MAX_PROTOCOL_PAIRS == 8
     assert set(limits.CAPS) == {
         "MAX_QUBITS",
         "MAX_PAIRS",
@@ -81,7 +81,7 @@ def test_check_returns_integers_and_names_the_entry():
         (lambda: session(14, [], 0), "(MAX_PAIRS), got 14"),
         (lambda: basis_matrix(7), "(MAX_BASIS_PAIRS), got 7"),
         (lambda: factorize_s0(7), "(MAX_BASIS_PAIRS), got 7"),
-        (lambda: roundtrip_all(8), "(MAX_PROTOCOL_PAIRS), got 8"),
+        (lambda: roundtrip_all(9), "(MAX_PROTOCOL_PAIRS), got 9"),
     ],
 )
 def test_library_sites_use_the_table(call, entry):

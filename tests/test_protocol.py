@@ -162,7 +162,7 @@ class TestRoundTripAll:
         with pytest.raises(ValueError):
             roundtrip_all(0)
         with pytest.raises(ValueError):
-            roundtrip_all(8)
+            roundtrip_all(9)
 
 
 class TestSession:
