@@ -301,6 +301,28 @@ def encoded_after_cnots(messages, n_pairs: int) -> np.ndarray:
     return _scatter((rows ^ cols) * 2**n_pairs + rows, values, n_pairs)
 
 
+def _live_rows_into(
+    messages, n_pairs: int, index: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """encoded_live_rows written into flat buffers of at least
+    len(messages)·2^N entries: index (int64) is scratch, and the rows returned
+    are a (len(messages), 2**n_pairs) view of rows (float64)."""
+    z, x = _message_masks(messages, n_pairs)
+    d = 2**n_pairs
+    size = len(x) * d
+    live = np.arange(0, size, d) + x
+    index = index[:size].reshape(-1, d)
+    rows = rows[:size].reshape(-1, d)
+    # index[b, c] = z_b & c from two broadcast copies, since a broadcasting
+    # ufunc allocates a buffer of its own; rows holds the c operand until take
+    # overwrites it.  Every z & c is in range, and "clip" lets take write
+    # straight into rows.
+    np.copyto(index, z[:, None])
+    np.copyto(rows.view(np.int64), np.arange(d))
+    np.bitwise_and(index, rows.view(np.int64), out=index)
+    return live, np.take(_encoding_tables(n_pairs)[2], index, out=rows, mode="clip")
+
+
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero rows of encoded_after_cnots: (live, rows), where live[b] =
     b·2^N + x_b (int64, ascending) and rows[b, c] = (-1)^popcount(z_b & c) /
@@ -309,12 +331,11 @@ def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     After the receiver's CNOTs the receiver's register holds the message's
     X-mask x_b, so G[b, x, c] is zero on every x-row but x_b, and row x_b is
     the signs of s0 under the message's Z-mask z_b.  Checks both arguments
-    as the other encoders do.
+    as the other encoders do, and returns fresh arrays: the protocol writes
+    the same rows into its own buffers (_live_rows_into).
     """
-    z, x = _message_masks(messages, n_pairs)
-    d = 2**n_pairs
-    live = np.arange(0, len(x) * d, d) + x
-    return live, np.take(_encoding_tables(n_pairs)[2], z[:, None] & np.arange(d))
+    size = np.size(messages) * 2 ** limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    return _live_rows_into(messages, n_pairs, np.empty(size, np.int64), np.empty(size))
 
 
 def s_state(message: int, n_pairs: int) -> Ket:

@@ -123,8 +123,10 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     |<P_i k|P_j k>| = |tr(rho_A P_{i^j})| with rho_A the sender's reduced
     state, and one Pauli transform of rho_A (the kernel of the Bell
     measurement) gives every overlap; the greedy pass is then a sieve over
-    indices.  The overlaps arising here are exactly 0, 1/2, 1/sqrt(2) or 1
-    up to rounding, so the greedy pass has no ties.
+    indices, where a kept j blocks j ⊕ e for each overlapping index e:
+    O(kept · overlapping) work, and one index (e = 0) for s0.  The overlaps
+    arising here are exactly 0, 1/2, 1/sqrt(2) or 1 up to rounding, so the
+    greedy pass has no ties.
     """
     if k.num_qubits != 2 * alice_qubits:
         raise ValueError(f"expected {2 * alice_qubits} qubits, got {k.num_qubits}")
@@ -133,12 +135,11 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     rho_a = psi @ psi.conj().T
     coef = _pauli_coefficients(rho_a.reshape(1, d * d), alice_qubits)
     order = _measurement_tables(alice_qubits)[1]
-    overlapping = np.linalg.norm(coef, axis=0)[0, order] >= ORTHOGONALITY_TOL
-    index = np.arange(d * d)
+    overlapping = np.flatnonzero(np.linalg.norm(coef, axis=0)[0, order] >= ORTHOGONALITY_TOL)
     blocked = np.zeros(d * d, dtype=bool)
     kept = 0
     for j in range(d * d):
         if not blocked[j]:
             kept += 1
-            blocked |= overlapping[index ^ j]
+            blocked[overlapping ^ j] = True
     return kept

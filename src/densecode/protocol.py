@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import limits
-from .bellbasis import encoded_live_rows, pauli_masks, pauli_string, s_state
+from .bellbasis import _live_rows_into, pauli_masks, pauli_string, s_state
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
 # Messages are encoded and measured in blocks whose arrays hold at most this
 # many float64s (1 MiB), so numpy's per-call overhead is paid once per block:
 # 2^N per message for roundtrip_all's live rows, 4^N for session's squares.
+# The live-row arrays of a block are views of per-thread buffers this size.
 BLOCK_AMPLITUDES = 2**17
 # The Walsh–Hadamard transform over 2^N points is done as products with ±1
 # Hadamard matrices of at most 2**STAGE_BITS rows: one gemm for N <= 6.
@@ -102,7 +104,9 @@ def _stage_bits(n_pairs: int) -> list[int]:
     return [n_pairs // stages + (i < n_pairs % stages) for i in range(stages)]
 
 
-def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
+def _walsh_hadamard(
+    g: np.ndarray, n_pairs: int, out: np.ndarray | None = None, spare: np.ndarray | None = None
+) -> np.ndarray:
     """Unnormalised Walsh–Hadamard transform over c of a float64 stack
     G[p, b, x, c], laid out x-major (x·2^N + c, or x and c as two axes; a
     stack of single x-rows G[p, b, c] works too): entry [p, b, x·2^N + z] of
@@ -113,16 +117,26 @@ def _walsh_hadamard(g: np.ndarray, n_pairs: int) -> np.ndarray:
     k <= STAGE_BITS bits of c, one matrix product per group: O(4^N·Σ 2^k)
     time per row, run by BLAS.  Applied to the state after the receiver's
     CNOTs, these are the receiver's Hadamards.
+
+    Without ``out`` every stage allocates its result.  With flat float64
+    buffers ``out`` and ``spare`` of at least g.size entries, the last stage
+    writes into out and the stages before it alternate between spare and
+    out, so g is never written.
     """
     parts, rows = g.shape[:2]
     width = math.prod(g.shape[2:])
     inner = 2**n_pairs
-    for bits in _stage_bits(n_pairs):
+    stages = _stage_bits(n_pairs)
+    for i, bits in enumerate(stages):
         inner >>= bits
+        shape = (-1, 2**bits) if inner == 1 else (-1, 2**bits, inner)
+        dest = (out, spare)[(len(stages) - 1 - i) % 2]
+        if dest is not None:
+            dest = dest[: g.size].reshape(shape)
         if inner == 1:
-            g = g.reshape(-1, 2**bits) @ _hadamard(bits)
+            g = np.matmul(g.reshape(shape), _hadamard(bits), out=dest)
         else:
-            g = _hadamard(bits) @ g.reshape(-1, 2**bits, inner)
+            g = np.matmul(_hadamard(bits), g.reshape(shape), out=dest)
     return g.reshape(parts, rows, width)
 
 
@@ -147,8 +161,8 @@ def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
 
 def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
     """|<s|ψ_b>|^2 for every outcome and row from a (parts, B, 4**n_pairs)
-    transform, in the transform's x-major order."""
-    probs = np.square(coef[0])
+    transform, in the transform's x-major order, written over coef[0]."""
+    probs = np.square(coef[0], out=coef[0])
     if len(coef) > 1:
         probs += np.square(coef[1])
     probs *= 1 / 2**n_pairs  # exact: a power of two
@@ -171,6 +185,37 @@ def _dense_rows(live: np.ndarray, rows: np.ndarray, count: int, n_pairs: int) ->
     return dense.reshape(count, d * d)
 
 
+_buffers = threading.local()
+
+
+def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's flat block buffers, BLOCK_AMPLITUDES entries each and
+    allocated on first use: the encoder's int64 index, the live rows, the
+    transform's product (squared in place) and the spare its stages alternate
+    with.
+
+    A block takes views of them, so a warm Bell measurement allocates no
+    block-sized array.  (glibc hands a freed array of this size back to the
+    kernel, and the next call's array is faulted in again as zero-filled
+    pages.)  Each thread has its own, since numpy's matmul releases the GIL.
+    """
+    if not hasattr(_buffers, "arrays"):
+        _buffers.arrays = (
+            np.empty(BLOCK_AMPLITUDES, dtype=np.int64),
+            *(np.empty(BLOCK_AMPLITUDES) for _ in range(3)),
+        )
+    return _buffers.arrays
+
+
+def _chunk_rows(n_pairs: int) -> int:
+    """Live rows per transform call.  The call's last stage is then a
+    (rows·2^N / 2^k, 2^k) @ H_{2^k} gemm with M·K·N = rows·2^N·2^k <= 2^19
+    (k = N for N <= STAGE_BITS, so rows <= 2^19 / 4^N), which OpenBLAS runs
+    on one thread; the stages before it are far smaller gemms.  A second
+    thread gains nothing on these sizes and spins after every call."""
+    return max(1, 2**19 >> (n_pairs + _stage_bits(n_pairs)[-1]))
+
+
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
 def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """|<s|ψ_b>|^2 for every outcome on the live rows of a block's encodings,
@@ -183,9 +228,18 @@ def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     and a NaN or infinity reaches that sum.  Only when a sum is off by more
     than NORM_TOL are the rows put back in a block for check_amplitudes,
     which names the fault.
+
+    The rows, the transform and the squares are views of _block_buffers, so
+    probs is valid until this thread's next block.
     """
-    live, rows = encoded_live_rows(messages, n_pairs)
-    probs = _squares(_walsh_hadamard(rows[None], n_pairs), n_pairs)
+    index, signs, product, spare = _block_buffers()
+    live, rows = _live_rows_into(messages, n_pairs, index, signs)
+    d = 2**n_pairs
+    step = _chunk_rows(n_pairs)
+    for start in range(0, len(rows), step):
+        chunk = slice(start * d, (start + step) * d)
+        _walsh_hadamard(rows[start : start + step][None], n_pairs, product[chunk], spare[chunk])
+    probs = _squares(product[: rows.size].reshape(1, len(rows), d), n_pairs)
     count = len(messages)
     sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=count)
     if not (abs(sums - 1.0) <= NORM_TOL).all():
@@ -369,7 +423,7 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     4^N, on their live rows, whose squares are put back in full rows before
     sampling; per-step measurement seeds come from one master PRNG, in
     message order, keeping whole transcripts reproducible from the session
-    seed.  encoded_live_rows checks every message.
+    seed.  _live_rows_into checks every message.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)

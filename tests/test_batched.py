@@ -8,10 +8,16 @@ last one (N = 6), the live rows must be the nonzero rows of the dense
 encoded_after_cnots and give exactly the dense transform's squares, and a
 faulty block must raise what a Ket raises.  Faults are built on a dense
 encoded_after_cnots block and handed to protocol as its live rows
-(_live_rows), found by any nonzero, NaN or infinite entry.
+(_live_rows), found by any nonzero, NaN or infinite entry, through the
+encoder it calls (_live_rows_into).  A block's arrays are views of buffers
+each thread keeps, so a warm block allocates no block-sized array and
+threads do not share them.
 """
 
 import re
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,6 +121,18 @@ def test_live_rows_are_the_nonzero_rows_of_the_dense_layout(n):
         assert np.array_equal(live, _live_rows(dense, n)[0])
 
 
+def test_the_public_encoder_returns_fresh_arrays():
+    first = encoded_live_rows([3, 1, 0], 2)
+    kept = [a.copy() for a in first]
+    second = encoded_live_rows([5, 2, 7], 2)
+    roundtrip_all(2)  # fills this thread's block buffers
+    for a in first:
+        for b in (*second, *protocol._block_buffers()):
+            assert not np.shares_memory(a, b)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize(
     "messages", [[0, 16], [-1], [2, 3, 99], [1.5], np.array([0.0, 1.0]), [True]]
 )
@@ -190,6 +208,60 @@ def test_live_rows_give_the_dense_squares_on_encoder_output(n):
             assert (_assert_live_rows_give_the_dense_squares(g, n, live, probs) == 1).all()
 
 
+def test_chunk_rows_keep_each_live_row_gemm_within_2_to_the_19():
+    chunks = {n: protocol._chunk_rows(n) for n in range(1, 9)}
+    assert chunks == {1: 2**17, 2: 2**15, 3: 2**13, 4: 2**11, 5: 512, 6: 128, 7: 512, 8: 128}
+    for n, rows in chunks.items():
+        last = protocol._stage_bits(n)[-1]
+        assert rows * 2**n * 2**last <= 2**19  # M·K·N of the last stage's gemm
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_chunked_block_equals_one_transform_of_its_rows(n):
+    count = min(4**n, protocol.BLOCK_AMPLITUDES >> n)  # one block of roundtrip_all
+    messages = np.random.default_rng(n).integers(0, 4**n, size=count)
+    live, probs = protocol._block_squares(messages, n)
+    want_live, rows = encoded_live_rows(messages, n)
+    assert np.array_equal(live, want_live)
+    want = protocol._squares(protocol._walsh_hadamard(rows[None], n), n)
+    assert np.array_equal(probs, want)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_a_warm_roundtrip_allocates_no_block_array(n):
+    """After warm-up a block's arrays are views of this thread's buffers, so
+    the allocation peak stays under one block array of live rows."""
+    block_bytes = min(4**n * 2**n, protocol.BLOCK_AMPLITUDES) * 8  # 256 KiB at N = 5
+    for _ in range(2):
+        roundtrip_all(n)
+    tracemalloc.start()
+    try:
+        assert roundtrip_all(n).failures == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
+
+
+def test_threads_measure_with_their_own_buffers():
+    jobs = [
+        lambda: roundtrip_all(5),
+        lambda: roundtrip_all(7),
+        lambda: session(3, range(64), seed=1),
+    ]
+    serial = [job() for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [(i, pool.submit(jobs[i])) for _ in range(4) for i in range(len(jobs))]
+            results = [(i, future.result(timeout=120)) for i, future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in results:
+        assert result == serial[i]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize(
     "fault, live_rows",
@@ -215,23 +287,23 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
 
 
 def _corrupt_the_encoder(monkeypatch, corrupt):
-    """Make the encoder protocol uses emit the live rows of corrupt(G), G the
-    dense encoded_after_cnots block of its messages."""
+    """Make the encoder protocol uses (_live_rows_into) emit the live rows of
+    corrupt(G), G the dense encoded_after_cnots block of its messages."""
 
-    def corrupted(messages, n_pairs):
+    def corrupted(messages, n_pairs, *buffers):
         return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
 
-    monkeypatch.setattr(protocol, "encoded_live_rows", corrupted)
+    monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 
 
 def _encode_message_3_as_5(monkeypatch):
-    original = protocol.encoded_live_rows
+    original = protocol._live_rows_into
 
-    def swapped(messages, n_pairs):
+    def swapped(messages, n_pairs, *buffers):
         messages = np.asarray(messages).reshape(-1)
-        return original(np.where(messages == 3, 5, messages), n_pairs)
+        return original(np.where(messages == 3, 5, messages), n_pairs, *buffers)
 
-    monkeypatch.setattr(protocol, "encoded_live_rows", swapped)
+    monkeypatch.setattr(protocol, "_live_rows_into", swapped)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -268,10 +340,11 @@ def test_session_matches_the_per_message_path(n, count):
 
 
 def _corrupt_message_3(monkeypatch):
-    """Make the encoder protocol uses send (s_3 + s_5)/√2 for message 3; the
-    gather into the measurement's layout is linear, so it commutes with the sum."""
+    """Make the encoder protocol uses (_live_rows_into) send (s_3 + s_5)/√2 for
+    message 3; the gather into the measurement's layout is linear, so it
+    commutes with the sum."""
 
-    def corrupted(messages, n_pairs):
+    def corrupted(messages, n_pairs, *buffers):
         def corrupt(amps):
             for i, m in enumerate(np.asarray(messages).reshape(-1)):
                 if m == 3:
@@ -280,7 +353,7 @@ def _corrupt_message_3(monkeypatch):
 
         return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
 
-    monkeypatch.setattr(protocol, "encoded_live_rows", corrupted)
+    monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 
 
 def test_non_basis_state_counts_as_a_failure(monkeypatch):

@@ -102,7 +102,7 @@ def test_overlap_tolerance_applies_to_the_modulus():
     assert orthogonal_orbit_count(k, 1) == 2
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_shared_state_reaches_all_four_to_the_n(n):
     # the paper's claim: 4^N mutually orthogonal states by sender-local Paulis
     assert orthogonal_orbit_count(s0(n), n) == 4**n
