@@ -210,8 +210,21 @@ def pauli_masks(message, n_pairs: int):
 
 
 @cache
+def _message_bits(n_pairs: int) -> np.ndarray:
+    """The inverse of pauli_masks, 2**n_pairs int64 entries: bits[v] puts the
+    bits of mask v at a message's even positions, so the message with masks
+    (z, x) is bits[x] << 1 | bits[z]."""
+    v = np.arange(2**n_pairs)
+    bits = np.zeros_like(v)
+    for k in range(n_pairs):
+        bits |= ((v >> (n_pairs - 1 - k)) & 1) << (2 * k)
+    bits.setflags(write=False)
+    return bits
+
+
+@cache
 def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables for the encoders, 2**n_pairs entries each.
+    """Lookup tables for the encoder, 2**n_pairs entries each.
 
     low[:, v] and high[:, v] are the stacked (z, x) masks contributed by a
     message's low and high N bits equal to v, so a message's masks are
@@ -247,60 +260,6 @@ def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return low[:, messages & (2**n_pairs - 1)] | high[:, messages >> n_pairs]
 
 
-def _encoding_support(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of each message's encoding, after checking both
-    arguments: (rows, cols, values), where row rows[c] = c of message b holds
-    values[b, c] at column cols[b, c].  rows has shape (2**n_pairs,) and
-    broadcasts against the (len(messages), 2**n_pairs) cols and values.
-
-    As a 2^N x 2^N matrix with sender qubits indexing rows, s0 is
-    2^{-N/2}·I, so Z^z X^x acting on the rows makes it a signed permutation:
-    row c holds (-1)^popcount(z & c) / 2^{N/2} at column c⊕x and zeros
-    elsewhere.
-    """
-    z, x = _message_masks(messages, n_pairs)[..., None]
-    rows = np.arange(2**n_pairs)
-    return rows, rows ^ x, _encoding_tables(n_pairs)[2][z & rows]
-
-
-def _scatter(positions: np.ndarray, values: np.ndarray, n_pairs: int) -> np.ndarray:
-    """A (len(values), 4**n_pairs) float64 array, zero except values[b] at
-    positions[b] in row b; positions is overwritten."""
-    size = 4**n_pairs
-    amps = np.zeros((len(values), size))
-    positions += np.arange(0, amps.size, size)[:, None]
-    amps.reshape(-1)[positions] = values
-    return amps
-
-
-def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
-    """Amplitudes of the generalized Bell state of each message, one row each:
-    a (len(messages), 4**n_pairs) float64 array.
-
-    Each row is the signed permutation of _encoding_support, Ψ[row, col] at
-    row·2^N + col: built directly, without applying gates one by one, and
-    real, since every amplitude is.
-    """
-    rows, cols, values = _encoding_support(messages, n_pairs)
-    return _scatter(rows * 2**n_pairs + cols, values, n_pairs)
-
-
-def encoded_after_cnots(messages, n_pairs: int) -> np.ndarray:
-    """Each message's encoding in the layout the Bell measurement transforms:
-    G[b, x, c] = Ψ_b[c, c⊕x], flattened to a (len(messages), 4**n_pairs)
-    float64 array.
-
-    This is the state after the receiver's CNOTs (sender qubit k controls
-    receiver qubit k), with the receiver's register x most significant.  It
-    equals encoded_amplitudes gathered through protocol's measurement table,
-    but the support of _encoding_support is scattered straight to
-    (row⊕col)·2^N + row, so no ket-ordered array is built.  A dense reference
-    for tests: the protocol measures encoded_live_rows.
-    """
-    rows, cols, values = _encoding_support(messages, n_pairs)
-    return _scatter((rows ^ cols) * 2**n_pairs + rows, values, n_pairs)
-
-
 def _live_rows_into(
     messages, n_pairs: int, index: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -324,23 +283,39 @@ def _live_rows_into(
 
 
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero rows of encoded_after_cnots: (live, rows), where live[b] =
-    b·2^N + x_b (int64, ascending) and rows[b, c] = (-1)^popcount(z_b & c) /
-    2^{N/2}, a (len(messages), 2**n_pairs) float64 array.
+    """Each message's encoding as its one live row after the receiver's CNOTs:
+    (live, rows), where live[b] = b·2^N + x_b (int64, ascending) and rows[b, c]
+    = (-1)^popcount(z_b & c) / 2^{N/2}, a (len(messages), 2**n_pairs) float64
+    array.
 
-    After the receiver's CNOTs the receiver's register holds the message's
-    X-mask x_b, so G[b, x, c] is zero on every x-row but x_b, and row x_b is
-    the signs of s0 under the message's Z-mask z_b.  Checks both arguments
-    as the other encoders do, and returns fresh arrays: the protocol writes
-    the same rows into its own buffers (_live_rows_into).
+    s0 read as a 2^N x 2^N matrix (sender qubits index rows) is 2^{-N/2}·I,
+    so the Pauli string makes it a signed permutation, rows[b, c] at Ψ_b[c,
+    c⊕x_b].  The CNOTs (sender qubit k controls receiver qubit k) move Ψ[c,
+    c⊕x] to G[x, c], so every x-row but x_b is zero.  Checks both arguments,
+    and returns fresh arrays: the protocol writes the same rows into its own
+    buffers (_live_rows_into).
     """
     size = np.size(messages) * 2 ** limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     return _live_rows_into(messages, n_pairs, np.empty(size, np.int64), np.empty(size))
 
 
+def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
+    """Amplitudes of the generalized Bell state of each message, one row each:
+    a (len(messages), 4**n_pairs) float64 array.  The rows of
+    encoded_live_rows are scattered back through the CNOTs, to Ψ_b[c, c⊕x_b]
+    at c·2^N + (c⊕x_b), without applying gates one by one."""
+    live, rows = encoded_live_rows(messages, n_pairs)
+    d = 2**n_pairs
+    c = np.arange(d)
+    amps = np.zeros((len(rows), d * d))
+    positions = (live >> n_pairs)[:, None] * (d * d) + c * d + (c ^ (live & (d - 1))[:, None])
+    amps.reshape(-1)[positions] = rows
+    return amps
+
+
 def s_state(message: int, n_pairs: int) -> Ket:
     """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
-    string applied to s0 (see _encoding_support), which checks both arguments."""
+    string applied to s0 (see encoded_live_rows), which checks both arguments."""
     return Ket(2 * n_pairs, encoded_amplitudes([message], n_pairs)[0])
 
 

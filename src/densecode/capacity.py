@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .protocol import _measurement_tables, _pauli_coefficients
+from .bellbasis import _message_bits
+from .protocol import _pauli_coefficients
 from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
@@ -134,8 +135,10 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     psi = k.amplitudes.reshape(d, d)
     rho_a = psi @ psi.conj().T
     coef = _pauli_coefficients(rho_a.reshape(1, d * d), alice_qubits)
-    order = _measurement_tables(alice_qubits)[1]
-    overlapping = np.flatnonzero(np.linalg.norm(coef, axis=0)[0, order] >= ORTHOGONALITY_TOL)
+    # positions x·2^N + z of the transform, as string indices
+    at = np.flatnonzero(np.linalg.norm(coef, axis=0)[0] >= ORTHOGONALITY_TOL)
+    bits = _message_bits(alice_qubits)
+    overlapping = bits[at >> alice_qubits] << 1 | bits[at & (d - 1)]
     blocked = np.zeros(d * d, dtype=bool)
     kept = 0
     for j in range(d * d):

@@ -5,8 +5,8 @@ Messages are integers in [0, 2^(2N) - 1]; every round trip moves 2N
 classical bits while only the sender's N qubits change hands.  roundtrip_all
 and session measure messages in blocks.  After the receiver's CNOTs a basis
 message's encoding is nonzero on one row of 2^N amplitudes, at its X-mask, so
-the encoder emits that row only (encoded_live_rows) and the receiver's
-Hadamards transform that row only.
+the encoder emits that row only (encoded_live_rows), the receiver's Hadamards
+transform that row only, and its 2^N outcomes are all the message can give.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from functools import cache
 import numpy as np
 
 from . import limits
-from .bellbasis import _live_rows_into, pauli_masks, pauli_string, s_state
+from .bellbasis import _live_rows_into, _message_bits, pauli_string, s_state
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
 # Messages are encoded and measured in blocks whose arrays hold at most this
 # many float64s (1 MiB), so numpy's per-call overhead is paid once per block:
-# 2^N per message for roundtrip_all's live rows, 4^N for session's squares.
+# 2^N per message, one live row each.
 # The live-row arrays of a block are views of per-thread buffers this size.
 BLOCK_AMPLITUDES = 2**17
 # The Walsh–Hadamard transform over 2^N points is done as products with ±1
@@ -67,24 +67,6 @@ def _blocks(count: int, row_size: int):
     row_size messages (at least one), for arrays of row_size floats per message."""
     rows = max(1, BLOCK_AMPLITUDES // row_size)
     return (slice(start, start + rows) for start in range(0, count, rows))
-
-
-@cache
-def _measurement_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for _pauli_coefficients, one integer per amplitude each.
-
-    gather[x, c] is the flat position of Ψ[c, c⊕x] in a 2N-qubit ket;
-    order[m] is the flat position of outcome (x, z) in the transformed
-    x-by-z array for message m.
-    """
-    d = 2**n_pairs
-    c = np.arange(d)
-    gather = c * d + (c ^ c[:, None])
-    z, x = pauli_masks(np.arange(d * d), n_pairs)
-    order = x * d + z
-    gather.setflags(write=False)
-    order.setflags(write=False)
-    return gather, order
 
 
 @cache
@@ -154,7 +136,8 @@ def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     all, with no 4^N x 4^N basis.  This is the CNOT + Hadamard Bell
     measurement carried out on amplitudes.
     """
-    gather = _measurement_tables(n_pairs)[0]
+    c = np.arange(2**n_pairs)
+    gather = c * 2**n_pairs + (c ^ c[:, None])
     parts = np.array((amps.real, amps.imag)) if np.iscomplexobj(amps) else amps[None]
     return _walsh_hadamard(np.take(parts, gather, axis=2), n_pairs)
 
@@ -171,9 +154,13 @@ def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
 
 def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
     """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
-    of a (B, 4**n_pairs) stack of real or complex kets (see _pauli_coefficients)."""
-    order = _measurement_tables(n_pairs)[1]
-    return np.take(_squares(_pauli_coefficients(amps, n_pairs), n_pairs), order, axis=1)
+    of a (B, 4**n_pairs) stack of real or complex kets (see _pauli_coefficients):
+    outcome (x, z) is scattered to message bits[x] << 1 | bits[z]."""
+    bits = _message_bits(n_pairs)
+    squares = _squares(_pauli_coefficients(amps, n_pairs), n_pairs)
+    probs = np.empty_like(squares)
+    probs[:, (bits[:, None] << 1 | bits).ravel()] = squares
+    return probs
 
 
 def _dense_rows(live: np.ndarray, rows: np.ndarray, count: int, n_pairs: int) -> np.ndarray:
@@ -254,18 +241,19 @@ def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
     return _bell_probabilities(k.amplitudes[None], n_pairs)[0]
 
 
-def _inverse_cdf_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _inverse_cdf_sample(probs: np.ndarray, draws: float | np.ndarray):
+    """Indices into probs for uniform draws in [0, 1), by inverse CDF.  A
+    draw below 1 times the positive total rounds to below the total, so every
+    index is in range."""
     cdf = np.cumsum(probs)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(probs) - 1))
+    return np.searchsorted(cdf, draws * cdf[-1], side="right")
 
 
 def _sample_outcome(probs: np.ndarray, seed: int) -> MeasurementOutcome:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total}; input is not normalized")
-    rng = np.random.default_rng(seed)
-    index = _inverse_cdf_sample(probs, rng)
+    index = int(_inverse_cdf_sample(probs, np.random.default_rng(seed).random()))
     return MeasurementOutcome(index, float(probs[index]))
 
 
@@ -281,10 +269,7 @@ def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutc
 def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarray:
     """``shots`` independent measurement outcomes drawn from one seeded stream."""
     probs = outcome_probabilities(k, n_pairs)
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(probs)
-    u = rng.random(shots) * cdf[-1]
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
+    return _inverse_cdf_sample(probs, np.random.default_rng(seed).random(shots))
 
 
 def decode(k: Ket, n_pairs: int) -> int:
@@ -327,24 +312,23 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
 
     Messages go through in blocks of BLOCK_AMPLITUDES // 2^N, measured on
     their live rows (_block_squares).  Message m decodes right when one of
-    its live rows peaks at its position order[m] in the transform's order
-    with probability at least 1 - DECODE_TOL.  The squares of a message sum
-    to 1 within NORM_TOL, so that peak is the message's largest square, as a
-    dense argmax would find.  A message that decodes to another one, or to
+    its live rows x peaks at an outcome z with bits[x] << 1 | bits[z] = m
+    (_message_bits) with probability at least 1 - DECODE_TOL.  The squares of
+    a message sum to 1 within NORM_TOL, so that peak is the message's largest
+    square, as a dense argmax would find.  A message that decodes to another one, or to
     no basis state with certainty, is listed in ``failures``.
     """
     limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
     d = 2**n_pairs
-    order = _measurement_tables(n_pairs)[1]
+    bits = _message_bits(n_pairs)
     messages = np.arange(d * d)
     decoded = np.zeros(messages.size, dtype=bool)
     for block in _blocks(messages.size, d):
         live, probs = _block_squares(messages[block], n_pairs)
         best = probs.argmax(axis=1)
         sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
-        # live row b·2^N + x peaks at x·2^N + best in message b's order
         m = block.start + (live >> n_pairs)
-        right = (live & (d - 1)) * d + best == order[m]
+        right = bits[live & (d - 1)] << 1 | bits[best] == m
         decoded[m[sure & right]] = True
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
@@ -419,32 +403,40 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     Every step consumes a fresh shared resource state.  "Sending" the N
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
-    data.  Messages are encoded and measured in blocks of BLOCK_AMPLITUDES //
-    4^N, on their live rows, whose squares are put back in full rows before
-    sampling; per-step measurement seeds come from one master PRNG, in
-    message order, keeping whole transcripts reproducible from the session
-    seed.  _live_rows_into checks every message.
+    data.  Messages are encoded, checked and measured in blocks, on their
+    live rows, as in roundtrip_all.  A step samples the outcomes
+    bits[x] << 1 | bits[z] of its live row x in ascending order (z in
+    argsort(bits)); every other outcome has probability exactly 0, so the draw
+    is the dense one over all 4^N.  Per-step measurement seeds come from one
+    master PRNG, in message order, keeping whole transcripts reproducible
+    from the session seed.  An encoding on several x-rows, which has no one
+    row to sample, raises a ValueError naming its message.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
     limits.check("session length", len(messages), "MAX_SESSION_STEPS", 0)
-    order = _measurement_tables(n_pairs)[1]
+    d = 2**n_pairs
+    bits = _message_bits(n_pairs)
+    ascending = np.argsort(bits)
     rng = np.random.default_rng(seed)
     steps = []
-    for block in _blocks(len(messages), 4**n_pairs):
+    for block in _blocks(len(messages), d):
         sent = messages[block]
-        squares = _dense_rows(*_block_squares(sent, n_pairs), len(sent), n_pairs)
-        probs = np.take(squares, order, axis=1)
-        for m, row in zip(sent, probs):
+        live, probs = _block_squares(sent, n_pairs)
+        if len(live) != len(sent):  # each message has a live row once checked
+            i = np.flatnonzero(np.bincount(live >> n_pairs) > 1)[0]
+            raise ValueError(f"message {sent[i]} is not a basis state: it spans several x-rows")
+        for m, x, row in zip(sent, live & (d - 1), probs):
             step_seed = int(rng.integers(0, 2**63))
-            outcome = _sample_outcome(row, step_seed)
+            k = _sample_outcome(row[ascending], step_seed).index
+            outcome = int(bits[x] << 1 | bits[ascending[k]])
             steps.append(
                 TranscriptStep(
                     message=m,
                     pauli=pauli_string(m, n_pairs).tokens(),
                     qubits_sent=n_pairs,
-                    outcome=outcome.index,
-                    success=outcome.index == m,
+                    outcome=outcome,
+                    success=outcome == m,
                 )
             )
     return Transcript(n_pairs, seed, tuple(steps))

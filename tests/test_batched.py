@@ -2,16 +2,17 @@
 
 roundtrip_all and session push messages through encoded_live_rows and
 _walsh_hadamard in blocks, transforming only each message's live row and
-checking it by Parseval.  Each block must give exactly what the per-message
-functions give, for a single block (N = 1) and for many blocks with a ragged
-last one (N = 6), the live rows must be the nonzero rows of the dense
-encoded_after_cnots and give exactly the dense transform's squares, and a
-faulty block must raise what a Ket raises.  Faults are built on a dense
-encoded_after_cnots block and handed to protocol as its live rows
-(_live_rows), found by any nonzero, NaN or infinite entry, through the
-encoder it calls (_live_rows_into).  A block's arrays are views of buffers
-each thread keeps, so a warm block allocates no block-sized array and
-threads do not share them.
+checking it by Parseval; session samples each message from its live row.
+Each block must give exactly what the per-message functions give, for a
+single block (N = 1) and for many blocks with a ragged last one (N = 6), the
+live rows must be the nonzero rows of the dense layout after the CNOTs
+(_after_cnots) and give exactly the dense transform's squares, and a faulty
+block must raise what a Ket raises.  Faults are built on a dense
+_after_cnots block and handed to protocol as its live rows (_live_rows),
+found by any nonzero, NaN or infinite entry, through the encoder it calls
+(_live_rows_into).  A block's arrays are views of buffers each thread keeps,
+so a warm block allocates no block-sized array and threads do not share
+them.
 """
 
 import re
@@ -36,7 +37,7 @@ from densecode import (
     session,
 )
 from densecode import limits, protocol
-from densecode.bellbasis import encoded_after_cnots, encoded_live_rows
+from densecode.bellbasis import encoded_live_rows
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
 
@@ -73,24 +74,10 @@ def test_encoded_amplitudes_rejects_out_of_range_messages():
     assert encoded_amplitudes([], 2).shape == (0, 16)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_encoded_after_cnots_is_the_gathered_encoding(n):
-    rng = np.random.default_rng(n)
-    lists = [
-        [],
-        [4**n - 1, 0, 2],  # unsorted
-        [1, 1, 0, 1],  # duplicates
-        rng.integers(0, 4**n, size=min(4**n, 40)),
-        np.array([3, 2], dtype=np.uint8),
-    ]
-    if n <= 3:
-        lists.append(np.arange(4**n))
-    gather = protocol._measurement_tables(n)[0]
-    for messages in lists:
-        layout = encoded_after_cnots(messages, n)
-        gathered = np.take(encoded_amplitudes(messages, n), gather, axis=1)
-        assert layout.shape == (len(messages), 4**n)
-        assert np.array_equal(layout, gathered.reshape(len(messages), 4**n))
+def _after_cnots(messages, n):
+    """G[b, x, c] = Ψ_b[c, c⊕x], flattened: the encodings after the CNOT layer."""
+    c = np.arange(2**n)
+    return encoded_amplitudes(messages, n)[:, (c * 2**n + (c ^ c[:, None])).ravel()]
 
 
 def _live_rows(g, n):
@@ -116,7 +103,7 @@ def test_live_rows_are_the_nonzero_rows_of_the_dense_layout(n):
         assert live.dtype == np.int64 and rows.dtype == np.float64
         assert live.shape == (len(messages),) and rows.shape == (len(messages), 2**n)
         assert (np.diff(live) > 0).all()
-        dense = encoded_after_cnots(messages, n)
+        dense = _after_cnots(messages, n)
         assert np.array_equal(protocol._dense_rows(live, rows, len(messages), n), dense)
         assert np.array_equal(live, _live_rows(dense, n)[0])
 
@@ -141,7 +128,7 @@ def test_both_encoders_reject_bad_messages_alike(messages):
     raises."""
     with pytest.raises(ValueError) as expected:
         encoded_amplitudes(messages, 2)
-    for encoder in (encoded_after_cnots, encoded_live_rows):
+    for encoder in (_after_cnots, encoded_live_rows):
         with pytest.raises(ValueError) as got:
             encoder(messages, 2)
         assert str(got.value) == str(expected.value)
@@ -178,7 +165,7 @@ def test_roundtrip_sizes_span_one_block_to_many():
 
 
 def test_an_n6_block_holds_more_than_four_messages():
-    for row_size in (2**6, 4**6):  # roundtrip_all's and session's
+    for row_size in (2**6, 4**6):
         assert len(range(4**6)[next(protocol._blocks(4**6, row_size))]) > 4
 
 
@@ -202,7 +189,7 @@ def test_live_rows_give_the_dense_squares_on_encoder_output(n):
     ]
     for messages in lists:
         for block in protocol._blocks(len(messages), 4**n):
-            g = encoded_after_cnots(messages[block], n)
+            g = _after_cnots(messages[block], n)
             live, probs = protocol._block_squares(messages[block], n)
             # one live row per basis message: its X-mask after the CNOTs
             assert (_assert_live_rows_give_the_dense_squares(g, n, live, probs) == 1).all()
@@ -243,6 +230,19 @@ def test_a_warm_roundtrip_allocates_no_block_array(n):
     assert peak < block_bytes
 
 
+def test_a_session_at_the_pair_cap_allocates_no_4_to_the_n_array():
+    """session reads each message's live row of 2^13 outcomes; one dense row of
+    squares at N = 13 would be 512 MiB."""
+    assert session(13, range(5), seed=0) == session(13, range(5), seed=0)
+    tracemalloc.start()
+    try:
+        assert all(s.success for s in session(13, range(5), seed=0).steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_threads_measure_with_their_own_buffers():
     jobs = [
         lambda: roundtrip_all(5),
@@ -273,7 +273,7 @@ def test_threads_measure_with_their_own_buffers():
     ],
 )
 def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
-    g = encoded_after_cnots([3, 1, 0, 3], n)
+    g = _after_cnots([3, 1, 0, 3], n)
     if fault == "superposed":
         g[0] = (g[0] + g[1]) * 2**-0.5
     elif fault == "zero":
@@ -288,10 +288,10 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
 
 def _corrupt_the_encoder(monkeypatch, corrupt):
     """Make the encoder protocol uses (_live_rows_into) emit the live rows of
-    corrupt(G), G the dense encoded_after_cnots block of its messages."""
+    corrupt(G), G the dense _after_cnots block of its messages."""
 
     def corrupted(messages, n_pairs, *buffers):
-        return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
+        return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)
 
     monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 
@@ -328,7 +328,7 @@ def test_session_rejects_pair_counts_out_of_range_even_without_messages(n):
         session(n, [], seed=0)
 
 
-@pytest.mark.parametrize("n,count", [(1, 4), (6, 9)])
+@pytest.mark.parametrize("n,count", [(1, 4), (3, 40), (5, 64), (6, 9), (8, 6)])
 def test_session_matches_the_per_message_path(n, count):
     messages = [int(m) for m in np.random.default_rng(n).integers(0, 4**n, size=count)]
     transcript = session(n, messages, seed=31)
@@ -348,10 +348,10 @@ def _corrupt_message_3(monkeypatch):
         def corrupt(amps):
             for i, m in enumerate(np.asarray(messages).reshape(-1)):
                 if m == 3:
-                    amps[i] = (amps[i] + encoded_after_cnots([5], n_pairs)[0]) * 2**-0.5
+                    amps[i] = (amps[i] + _after_cnots([5], n_pairs)[0]) * 2**-0.5
             return amps
 
-        return _live_rows(corrupt(encoded_after_cnots(messages, n_pairs)), n_pairs)
+        return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)
 
     monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 
@@ -359,6 +359,19 @@ def _corrupt_message_3(monkeypatch):
 def test_non_basis_state_counts_as_a_failure(monkeypatch):
     _corrupt_message_3(monkeypatch)
     assert roundtrip_all(2).failures == (3,)
+
+
+def test_session_refuses_an_encoding_on_several_rows(monkeypatch, capsys):
+    """Message 3 sent as (s_3 + s_5)/√2 has live rows at both X-masks, so it
+    has no single live row to sample from."""
+    _corrupt_message_3(monkeypatch)
+    message = "message 3 is not a basis state: it spans several x-rows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        session(2, [5, 3, 1, 3], seed=4)
+    assert main(["session", "--n", "2", "5", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_failed_roundtrip_exits_1(monkeypatch, capsys):
@@ -376,15 +389,15 @@ def test_blocks_get_the_checks_a_ket_gets(monkeypatch):
 
 
 def test_clean_blocks_are_never_put_back(monkeypatch):
-    """A clean block passes its Parseval sums, so roundtrip_all builds no
-    (B, 4^N) block and session only its squares."""
+    """A clean block passes its Parseval sums, so neither roundtrip_all nor
+    session builds a (B, 4^N) block."""
 
     def never(*args):
         raise AssertionError("a clean block was put back in the dense layout")
 
     monkeypatch.setattr(protocol, "check_amplitudes", never)
-    assert all(s.success for s in session(3, range(64), seed=1).steps)
     monkeypatch.setattr(protocol, "_dense_rows", never)
+    assert all(s.success for s in session(3, range(64), seed=1).steps)
     for n in (1, 5, 7):
         assert roundtrip_all(n).failures == ()
 

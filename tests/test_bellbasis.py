@@ -26,7 +26,7 @@ from densecode import (
     s_to_g_map,
     tensor,
 )
-from densecode.bellbasis import BellLabel, GhzLabel, PauliString
+from densecode.bellbasis import BellLabel, GhzLabel, PauliString, _message_bits, pauli_masks
 
 # Frozen expectations for the four Bell states: (basis index, sign) terms,
 # coefficient magnitude 1/sqrt(2).
@@ -198,6 +198,13 @@ class TestPauliString:
                 (z << (2 * k)) | (x << (2 * k + 1)) for k, (z, x) in enumerate(ps.factors)
             )
             assert rebuilt == message
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_message_bits_invert_pauli_masks(self, n):
+        bits = _message_bits(n)
+        z, x = np.meshgrid(np.arange(2**n), np.arange(2**n), indexing="ij")
+        got_z, got_x = pauli_masks(bits[z] | bits[x] << 1, n)
+        assert np.array_equal(got_z, z) and np.array_equal(got_x, x)
 
     def test_range(self):
         with pytest.raises(ValueError):

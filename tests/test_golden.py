@@ -29,6 +29,8 @@ CASES = {
     **{f"roundtrip_n{n}.txt": ["roundtrip", "--n", str(n)] for n in range(1, 9)},
     "session_n2_r10_s7.json": ["session", "--n", "2", "--random", "10", "--seed", "7"],
     "session_n3_r50_s11.json": ["session", "--n", "3", "--random", "50", "--seed", "11"],
+    "session_n5_r200_s5.json": ["session", "--n", "5", "--random", "200", "--seed", "5"],
+    "session_n8_r40_s8.json": ["session", "--n", "8", "--random", "40", "--seed", "8"],
 }
 
 
