@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .bellbasis import _message_bits
-from .protocol import _pauli_coefficients
+from .protocol import BLOCK_AMPLITUDES, _bell_squares
 from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
@@ -114,6 +113,16 @@ def dense_coding_capacity(
     )
 
 
+def _conj_reduced_state(psi: np.ndarray) -> np.ndarray:
+    """conj(rho_A) = Ψ* Ψ^T of a ket read as a 2^N x 2^N matrix Ψ, a block of
+    rows at a time: no conjugate copy of the whole ket is made."""
+    rho = np.empty_like(psi)
+    step = BLOCK_AMPLITUDES // (2 * len(psi))
+    for start in range(0, len(psi), step):
+        np.matmul(psi[start : start + step].conj(), psi.T, out=rho[start : start + step])
+    return rho
+
+
 def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     """Size of a greedy maximal mutually-orthogonal set among the states the
     sender can reach from k with local Pauli strings.
@@ -122,23 +131,22 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     overlap with every kept state stays below ORTHOGONALITY_TOL in modulus.
     Strings compose by XOR of their indices up to a sign, so
     |<P_i k|P_j k>| = |tr(rho_A P_{i^j})| with rho_A the sender's reduced
-    state, and one Pauli transform of rho_A (the kernel of the Bell
-    measurement) gives every overlap; the greedy pass is then a sieve over
-    indices, where a kept j blocks j ⊕ e for each overlapping index e:
-    O(kept · overlapping) work, and one index (e = 0) for s0.  The overlaps
-    arising here are exactly 0, 1/2, 1/sqrt(2) or 1 up to rounding, so the
-    greedy pass has no ties.
+    state, and the Bell measurement of rho_A (_bell_squares) gives every
+    overlap, in string-index order; the Paulis are real, so conj(rho_A) has
+    the same moduli.  The greedy pass is then a sieve over indices, where a
+    kept j blocks j ⊕ e for each overlapping index e: O(kept · overlapping)
+    work, and one index (e = 0) for s0.  The overlaps arising here are
+    exactly 0, 1/2, 1/sqrt(2) or 1 up to rounding, so the greedy pass has no
+    ties.  alice_qubits is checked against MAX_ORBIT_PAIRS first.
     """
+    limits.check("alice_qubits", alice_qubits, "MAX_ORBIT_PAIRS")
     if k.num_qubits != 2 * alice_qubits:
         raise ValueError(f"expected {2 * alice_qubits} qubits, got {k.num_qubits}")
     d = 2**alice_qubits
-    psi = k.amplitudes.reshape(d, d)
-    rho_a = psi @ psi.conj().T
-    coef = _pauli_coefficients(rho_a.reshape(1, d * d), alice_qubits)
-    # positions x·2^N + z of the transform, as string indices
-    at = np.flatnonzero(np.linalg.norm(coef, axis=0)[0] >= ORTHOGONALITY_TOL)
-    bits = _message_bits(alice_qubits)
-    overlapping = bits[at >> alice_qubits] << 1 | bits[at & (d - 1)]
+    moduli = _bell_squares(_conj_reduced_state(k.amplitudes.reshape(d, d)), alice_qubits)
+    moduli *= d  # exact: undoes the measurement's 2^-N
+    overlapping = np.flatnonzero(np.sqrt(moduli, out=moduli) >= ORTHOGONALITY_TOL)
+    del moduli  # the sieve needs only the indices
     blocked = np.zeros(d * d, dtype=bool)
     kept = 0
     for j in range(d * d):

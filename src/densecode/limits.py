@@ -10,6 +10,7 @@ from numbers import Integral
 
 BYTE_BUDGET = 2**30  # the most one array, or one command's working set, may take
 AMPLITUDE_BYTES = 16  # one complex128 amplitude
+OUTCOME_BYTES = 8  # one float64 outcome probability
 # Peak RSS growth of `densecode session` per step (messages, transcript and
 # JSON text) between 100k and 200k random steps: about 1.3 KB at N = 2 and
 # 1.4 KB at N = 6; rounded up.
@@ -24,6 +25,11 @@ MAX_BASIS_PAIRS = MAX_QUBITS // 4
 # a pure-state capacity report holds about three 2N-qubit kets: the ket, its
 # copy reshaped for the SVD, and the SVD's workspace
 MAX_CAPACITY_PAIRS = ((BYTE_BUDGET // (3 * AMPLITUDE_BYTES)).bit_length() - 1) // 2
+# measuring a 2N-qubit ket: the ket and its 4^N outcome probabilities
+MAX_MEASURE_PAIRS = ((BYTE_BUDGET // (AMPLITUDE_BYTES + OUTCOME_BYTES)).bit_length() - 1) // 2
+# an orbit count: the ket, the sender's reduced state (as many amplitudes),
+# 4^N squared Pauli traces and two 4^N boolean masks (overlaps and sieve)
+MAX_ORBIT_PAIRS = ((BYTE_BUDGET // (2 * AMPLITUDE_BYTES + OUTCOME_BYTES + 2)).bit_length() - 1) // 2
 MAX_SESSION_STEPS = BYTE_BUDGET // SESSION_STEP_BYTES
 # policy, output size: `basis --n 4` already prints 256 states of 256 amplitudes
 MAX_EMIT_PAIRS = 4

@@ -12,7 +12,6 @@ transform that row only, and its 2^N outcomes are all the message can give.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass
 from functools import cache
@@ -62,10 +61,10 @@ def encode(message: int, n_pairs: int) -> Ket:
     return s_state(message, n_pairs)
 
 
-def _blocks(count: int, row_size: int):
-    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES //
-    row_size messages (at least one), for arrays of row_size floats per message."""
-    rows = max(1, BLOCK_AMPLITUDES // row_size)
+def _blocks(count: int, n_pairs: int):
+    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES // 2^N
+    messages (at least one): one live row of 2^N floats per message."""
+    rows = max(1, BLOCK_AMPLITUDES >> n_pairs)
     return (slice(start, start + rows) for start in range(0, count, rows))
 
 
@@ -86,80 +85,42 @@ def _stage_bits(n_pairs: int) -> list[int]:
     return [n_pairs // stages + (i < n_pairs % stages) for i in range(stages)]
 
 
-def _walsh_hadamard(
-    g: np.ndarray, n_pairs: int, out: np.ndarray | None = None, spare: np.ndarray | None = None
-) -> np.ndarray:
-    """Unnormalised Walsh–Hadamard transform over c of a float64 stack
-    G[p, b, x, c], laid out x-major (x·2^N + c, or x and c as two axes; a
-    stack of single x-rows G[p, b, c] works too): entry [p, b, x·2^N + z] of
-    the result, shaped (parts, B, entries per row), is
-    Σ_c (-1)^popcount(z & c) G[p, b, x, c].
+def _walsh_hadamard(g: np.ndarray, n_pairs: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform of float64 rows G[..., c] of 2^N
+    entries: entry [..., z] of the result, shaped like g, is
+    Σ_c (-1)^popcount(z & c) G[..., c].
 
     The transform is a product with H_{2^N} = ⊗ H_{2^k} over groups of
-    k <= STAGE_BITS bits of c, one matrix product per group: O(4^N·Σ 2^k)
-    time per row, run by BLAS.  Applied to the state after the receiver's
-    CNOTs, these are the receiver's Hadamards.
-
-    Without ``out`` every stage allocates its result.  With flat float64
-    buffers ``out`` and ``spare`` of at least g.size entries, the last stage
-    writes into out and the stages before it alternate between spare and
-    out, so g is never written.
+    k <= STAGE_BITS bits of c, one matrix product per group: O(2^N·Σ 2^k)
+    time per row, run by BLAS.  Applied to the x-rows of a state after the
+    receiver's CNOTs, these are the receiver's Hadamards.  The last stage
+    writes into the flat float64 buffer out and the stages before it
+    alternate between spare and out (at least g.size entries each), so g is
+    never written.
     """
-    parts, rows = g.shape[:2]
-    width = math.prod(g.shape[2:])
+    shape = g.shape
     inner = 2**n_pairs
     stages = _stage_bits(n_pairs)
     for i, bits in enumerate(stages):
         inner >>= bits
-        shape = (-1, 2**bits) if inner == 1 else (-1, 2**bits, inner)
-        dest = (out, spare)[(len(stages) - 1 - i) % 2]
-        if dest is not None:
-            dest = dest[: g.size].reshape(shape)
+        view = (-1, 2**bits) if inner == 1 else (-1, 2**bits, inner)
+        dest = (out, spare)[(len(stages) - 1 - i) % 2][: g.size].reshape(view)
         if inner == 1:
-            g = np.matmul(g.reshape(shape), _hadamard(bits), out=dest)
+            g = np.matmul(g.reshape(view), _hadamard(bits), out=dest)
         else:
-            g = np.matmul(_hadamard(bits), g.reshape(shape), out=dest)
-    return g.reshape(parts, rows, width)
-
-
-def _pauli_coefficients(amps: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Signed, unnormalised coefficients Σ_c (-1)^popcount(z & c) Ψ_b[c, c⊕x]
-    for every Pauli mask pair (x, z) and every row ψ_b of a (B, 4**n_pairs)
-    stack of real or complex arrays, in the transform's x-major order x·2^N + z.
-
-    The result has shape (parts, B, 4**n_pairs): one part for real input, and
-    the real and imaginary parts for complex input, so every product is a
-    float64 gemm.  With a ket read as a 2^N x 2^N matrix Ψ (sender qubits
-    index rows) the coefficient of (x, z) is 2^{N/2} <s_m|ψ> for the message
-    with those masks; with a matrix ρ it is ±tr(ρ Z^z X^x).  One gather
-    G[b, x, c] = Ψ_b[c, c⊕x] followed by _walsh_hadamard over c yields them
-    all, with no 4^N x 4^N basis.  This is the CNOT + Hadamard Bell
-    measurement carried out on amplitudes.
-    """
-    c = np.arange(2**n_pairs)
-    gather = c * 2**n_pairs + (c ^ c[:, None])
-    parts = np.array((amps.real, amps.imag)) if np.iscomplexobj(amps) else amps[None]
-    return _walsh_hadamard(np.take(parts, gather, axis=2), n_pairs)
+            g = np.matmul(_hadamard(bits), g.reshape(view), out=dest)
+    return g.reshape(shape)
 
 
 def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
-    """|<s|ψ_b>|^2 for every outcome and row from a (parts, B, 4**n_pairs)
-    transform, in the transform's x-major order, written over coef[0]."""
-    probs = np.square(coef[0], out=coef[0])
-    if len(coef) > 1:
-        probs += np.square(coef[1])
+    """|<s|ψ_b>|^2 for every outcome and row from a (parts, B, 2^N) transform
+    (the real and imaginary parts of complex input are two parts), computed
+    in place: the result is a view of coef[0]."""
+    np.square(coef, out=coef)
+    probs = coef[0]
+    for part in coef[1:]:
+        probs += part
     probs *= 1 / 2**n_pairs  # exact: a power of two
-    return probs
-
-
-def _bell_probabilities(amps: np.ndarray, n_pairs: int) -> np.ndarray:
-    """|<s_j|ψ_b>|^2 for every message j (columns, ascending) and every row ψ_b
-    of a (B, 4**n_pairs) stack of real or complex kets (see _pauli_coefficients):
-    outcome (x, z) is scattered to message bits[x] << 1 | bits[z]."""
-    bits = _message_bits(n_pairs)
-    squares = _squares(_pauli_coefficients(amps, n_pairs), n_pairs)
-    probs = np.empty_like(squares)
-    probs[:, (bits[:, None] << 1 | bits).ravel()] = squares
     return probs
 
 
@@ -177,7 +138,8 @@ _buffers = threading.local()
 
 def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """This thread's flat block buffers, BLOCK_AMPLITUDES entries each and
-    allocated on first use: the encoder's int64 index, the live rows, the
+    allocated on first use: an int64 index (the encoder's, or a gather's
+    positions), the x-rows (live rows, or rows gathered from a ket), the
     transform's product (squared in place) and the spare its stages alternate
     with.
 
@@ -195,12 +157,25 @@ def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chunk_rows(n_pairs: int) -> int:
-    """Live rows per transform call.  The call's last stage is then a
+    """x-rows per transform call.  The call's last stage is then a
     (rows·2^N / 2^k, 2^k) @ H_{2^k} gemm with M·K·N = rows·2^N·2^k <= 2^19
     (k = N for N <= STAGE_BITS, so rows <= 2^19 / 4^N), which OpenBLAS runs
     on one thread; the stages before it are far smaller gemms.  A second
     thread gains nothing on these sizes and spins after every call."""
     return max(1, 2**19 >> (n_pairs + _stage_bits(n_pairs)[-1]))
+
+
+def _transform_rows(g: np.ndarray, n_pairs: int) -> np.ndarray:
+    """_walsh_hadamard of a (parts, R, 2^N) stack of x-rows of at most
+    BLOCK_AMPLITUDES floats, _chunk_rows(N) rows per call, into this thread's
+    product buffer: a view shaped like g, valid until its next block."""
+    product, spare = _block_buffers()[2:]
+    flat = g.reshape(-1)
+    step = _chunk_rows(n_pairs) << n_pairs
+    for start in range(0, g.size, step):
+        chunk = slice(start, start + step)
+        _walsh_hadamard(flat[chunk], n_pairs, product[chunk], spare[chunk])
+    return product[: g.size].reshape(g.shape)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
@@ -219,14 +194,9 @@ def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     The rows, the transform and the squares are views of _block_buffers, so
     probs is valid until this thread's next block.
     """
-    index, signs, product, spare = _block_buffers()
+    index, signs = _block_buffers()[:2]
     live, rows = _live_rows_into(messages, n_pairs, index, signs)
-    d = 2**n_pairs
-    step = _chunk_rows(n_pairs)
-    for start in range(0, len(rows), step):
-        chunk = slice(start * d, (start + step) * d)
-        _walsh_hadamard(rows[start : start + step][None], n_pairs, product[chunk], spare[chunk])
-    probs = _squares(product[: rows.size].reshape(1, len(rows), d), n_pairs)
+    probs = _squares(_transform_rows(rows[None], n_pairs), n_pairs)
     count = len(messages)
     sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=count)
     if not (abs(sums - 1.0) <= NORM_TOL).all():
@@ -234,11 +204,55 @@ def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return live, probs
 
 
+@cache
+def _gather_tables(n_pairs: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, shifts) for _bell_squares, 2^N entries per part: float
+    diagonal[p, 0, c] ⊕ shifts[x] is part p of Ψ[c, c⊕x], which is entry
+    c·2^N + (c⊕x) = c·(2^N + 1) ⊕ x of a matrix with ``parts`` (1 or 2)
+    float64 parts per entry."""
+    c = np.arange(2**n_pairs)
+    tables = c * ((2**n_pairs + 1) * parts) + np.arange(parts)[:, None, None], c * parts
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|Σ_c (-1)^popcount(z & c) Ψ[c, c⊕x]|^2 / 2^N for every mask pair (x, z)
+    of a C-contiguous real or complex array of 4^N entries read as a 2^N x 2^N
+    matrix Ψ (sender qubits index rows), at position bits[x] << 1 | bits[z]
+    of a fresh 4^N float64 array: |<s_m|ψ>|^2 for a ket, |tr(ρ Z^z X^x)|^2 /
+    2^N for a matrix ρ.  Blocks of x-rows G[x, c] = Ψ[c, c⊕x] (the CNOTs) are
+    gathered into this thread's block buffers, a complex entry as two float64
+    parts (take's "clip" mode writes in place, and every position is in
+    range), transformed (the Hadamards), squared and scattered: no index
+    array holds more than a block.
+    """
+    d = 2**n_pairs
+    flat = psi.reshape(-1).view(np.float64)
+    parts = flat.size // psi.size
+    diagonal, shifts = _gather_tables(n_pairs, parts)
+    bits = _message_bits(n_pairs)
+    index, rows = _block_buffers()[:2]
+    probs = np.empty(d * d)
+    step = BLOCK_AMPLITUDES // (parts * d)
+    for start in range(0, d, step):
+        x = slice(start, start + step)
+        at = index[: parts * d * min(step, d - start)].reshape(parts, -1, d)
+        np.bitwise_xor(diagonal, shifts[x, None], out=at)
+        g = np.take(flat, at, out=rows[: at.size].reshape(at.shape), mode="clip")
+        squares = _squares(_transform_rows(g, n_pairs), n_pairs)
+        np.bitwise_or(bits[x, None] << 1, bits, out=at[0])
+        probs[at[0]] = squares
+    return probs
+
+
 def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
-    """|<s_j|k>|^2 for every message j, ascending (see _bell_probabilities)."""
+    """|<s_j|k>|^2 for every message j, ascending (see _bell_squares)."""
+    limits.check("n_pairs", n_pairs, "MAX_MEASURE_PAIRS")
     if k.num_qubits != 2 * n_pairs:
         raise ValueError(f"expected {2 * n_pairs} qubits, got {k.num_qubits}")
-    return _bell_probabilities(k.amplitudes[None], n_pairs)[0]
+    return _bell_squares(k.amplitudes, n_pairs)
 
 
 def _inverse_cdf_sample(probs: np.ndarray, draws: float | np.ndarray):
@@ -323,7 +337,7 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     bits = _message_bits(n_pairs)
     messages = np.arange(d * d)
     decoded = np.zeros(messages.size, dtype=bool)
-    for block in _blocks(messages.size, d):
+    for block in _blocks(messages.size, n_pairs):
         live, probs = _block_squares(messages[block], n_pairs)
         best = probs.argmax(axis=1)
         sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
@@ -420,7 +434,7 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     ascending = np.argsort(bits)
     rng = np.random.default_rng(seed)
     steps = []
-    for block in _blocks(len(messages), d):
+    for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
         live, probs = _block_squares(sent, n_pairs)
         if len(live) != len(sent):  # each message has a live row once checked

@@ -37,22 +37,26 @@ from densecode import (
     session,
 )
 from densecode import limits, protocol
-from densecode.bellbasis import encoded_live_rows
+from densecode.bellbasis import _message_bits, encoded_live_rows
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
-
-from conftest import random_ket
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("rows", [1, 3, 17])
 def test_stacked_kernel_equals_per_ket_probabilities(n, rows):
-    rng = np.random.default_rng(1000 * n + rows)
-    kets = [random_ket(rng, 2 * n) for _ in range(rows)]
-    stacked = protocol._bell_probabilities(np.array([k.amplitudes for k in kets]), n)
-    assert stacked.shape == (rows, 4**n)
-    for k, row in zip(kets, stacked):
-        assert np.array_equal(row, outcome_probabilities(k, n))
+    """A block of messages measured on their live rows gives what each
+    message's Ket gives when it is measured alone, up to rounding: 2^{-N/2}
+    is inexact for odd N, and a one-row product is a gemv, not a gemm."""
+    messages = np.random.default_rng(1000 * n + rows).integers(0, 4**n, size=rows)
+    live, probs = (a.copy() for a in protocol._block_squares(messages, n))
+    assert np.array_equal(live >> n, np.arange(rows))
+    bits = _message_bits(n)
+    for m, x, row in zip(messages, live & (2**n - 1), probs):
+        dense = np.zeros(4**n)
+        dense[bits[x] << 1 | bits] = row
+        want = outcome_probabilities(s_state(int(m), n), n)
+        np.testing.assert_allclose(dense, want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -149,9 +153,9 @@ def test_non_integer_messages_are_rejected_not_truncated():
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_blocks_cover_every_message_once(n):
-    count = 4**n + 3  # a ragged last block
-    rows = max(1, protocol.BLOCK_AMPLITUDES // 4**n)
-    blocks = list(protocol._blocks(count, 4**n))
+    rows = max(1, protocol.BLOCK_AMPLITUDES >> n)
+    count = 2 * rows + 3  # a ragged last block
+    blocks = list(protocol._blocks(count, n))
     covered = [i for block in blocks for i in range(count)[block]]
     assert covered == list(range(count))
     assert all(len(range(count)[block]) <= rows for block in blocks)
@@ -160,20 +164,24 @@ def test_blocks_cover_every_message_once(n):
 def test_roundtrip_sizes_span_one_block_to_many():
     # test_protocol's roundtrip_all(1) and roundtrip_all(6) cover both ends;
     # roundtrip_all's blocks hold 2^N floats per message
-    assert len(list(protocol._blocks(4**1, 2**1))) == 1
-    assert len(list(protocol._blocks(4**6, 2**6))) > 1
+    assert len(list(protocol._blocks(4**1, 1))) == 1
+    assert len(list(protocol._blocks(4**6, 6))) > 1
 
 
 def test_an_n6_block_holds_more_than_four_messages():
-    for row_size in (2**6, 4**6):
-        assert len(range(4**6)[next(protocol._blocks(4**6, row_size))]) > 4
+    assert len(range(4**6)[next(protocol._blocks(4**6, 6))]) > 4
+
+
+def _transform(g, n):
+    """_walsh_hadamard of g in one call, into fresh buffers."""
+    return protocol._walsh_hadamard(g, n, np.empty(g.size), np.empty(g.size))
 
 
 def _assert_live_rows_give_the_dense_squares(g, n, live, probs):
     """Squares of the live rows ``live`` of g put back in place against the
     transform of every row.  No square is -0.0, so equality with NaNs equal is
     equality bit for bit up to NaN payloads."""
-    dense = protocol._squares(protocol._walsh_hadamard(g[None], n), n)
+    dense = protocol._squares(_transform(g[None], n), n)
     got = protocol._dense_rows(live, probs, len(g), n)
     assert np.array_equal(got, dense, equal_nan=True)
     return np.bincount(live >> n, minlength=len(g))
@@ -181,18 +189,25 @@ def _assert_live_rows_give_the_dense_squares(g, n, live, probs):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_live_rows_give_the_dense_squares_on_encoder_output(n):
-    rows = max(1, protocol.BLOCK_AMPLITUDES >> 2 * n)
+    rows = protocol.BLOCK_AMPLITUDES >> n
     lists = [
         np.random.default_rng(n).integers(0, 4**n, size=rows + 3),  # a ragged last block
         [1, 1, 0, 1],  # duplicates
         np.array([3, 2], dtype=np.uint8),
     ]
     for messages in lists:
-        for block in protocol._blocks(len(messages), 4**n):
-            g = _after_cnots(messages[block], n)
-            live, probs = protocol._block_squares(messages[block], n)
-            # one live row per basis message: its X-mask after the CNOTs
-            assert (_assert_live_rows_give_the_dense_squares(g, n, live, probs) == 1).all()
+        for block in protocol._blocks(len(messages), n):
+            sent = messages[block]
+            live, probs = protocol._block_squares(sent, n)
+            # one live row per basis message (its X-mask after the CNOTs), so
+            # the dense reference can take the block 64 messages at a time
+            for i in range(0, len(sent), 64):
+                g = _after_cnots(sent[i : i + 64], n)
+                part = slice(i, i + 64)
+                counts = _assert_live_rows_give_the_dense_squares(
+                    g, n, live[part] - (i << n), probs[part]
+                )
+                assert (counts == 1).all()
 
 
 def test_chunk_rows_keep_each_live_row_gemm_within_2_to_the_19():
@@ -210,7 +225,7 @@ def test_a_chunked_block_equals_one_transform_of_its_rows(n):
     live, probs = protocol._block_squares(messages, n)
     want_live, rows = encoded_live_rows(messages, n)
     assert np.array_equal(live, want_live)
-    want = protocol._squares(protocol._walsh_hadamard(rows[None], n), n)
+    want = protocol._squares(_transform(rows[None], n), n)
     assert np.array_equal(probs, want)
 
 
@@ -282,7 +297,7 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
         g[1, np.flatnonzero(g[1] == 0)[0]] = np.nan if fault == "nan" else np.inf
     live, rows = _live_rows(g, n)
     with np.errstate(invalid="ignore", over="ignore"):
-        probs = protocol._squares(protocol._walsh_hadamard(rows[None], n), n)
+        probs = protocol._squares(_transform(rows[None], n), n)
         assert _assert_live_rows_give_the_dense_squares(g, n, live, probs).tolist() == live_rows
 
 

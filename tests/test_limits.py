@@ -3,6 +3,7 @@ error text, and no size limit defined anywhere else in the package."""
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,23 @@ import pytest
 from densecode import (
     Ket,
     basis_matrix,
+    decode,
     dense_coding_capacity,
     factorize_s0,
     g_state,
     limits,
+    measure_generalized_bell,
+    orthogonal_orbit_count,
+    outcome_probabilities,
     roundtrip_all,
     s0,
+    s_state,
+    sample_measurements,
     session,
 )
 from densecode.cli import main
+
+from conftest import random_ket
 
 SRC = Path(limits.__file__).parent
 
@@ -30,6 +39,8 @@ def test_derived_values():
     assert limits.MAX_PAIRS == 13
     assert limits.MAX_BASIS_PAIRS == 6
     assert limits.MAX_CAPACITY_PAIRS == 12
+    assert limits.MAX_MEASURE_PAIRS == 12
+    assert limits.MAX_ORBIT_PAIRS == 12
     assert limits.MAX_SESSION_STEPS == 2**19
     assert limits.MAX_EMIT_PAIRS == 4
     assert limits.MAX_PROTOCOL_PAIRS == 8
@@ -38,6 +49,8 @@ def test_derived_values():
         "MAX_PAIRS",
         "MAX_BASIS_PAIRS",
         "MAX_CAPACITY_PAIRS",
+        "MAX_MEASURE_PAIRS",
+        "MAX_ORBIT_PAIRS",
         "MAX_SESSION_STEPS",
         "MAX_EMIT_PAIRS",
         "MAX_PROTOCOL_PAIRS",
@@ -50,6 +63,8 @@ def test_derived_values():
         (limits.MAX_QUBITS, lambda q: 16 * 2**q),
         (limits.MAX_BASIS_PAIRS, lambda n: 16 * 16**n),
         (limits.MAX_CAPACITY_PAIRS, lambda n: 3 * 16 * 4**n),
+        pytest.param(limits.MAX_MEASURE_PAIRS, lambda n: (16 + 8) * 4**n, id="measure"),
+        pytest.param(limits.MAX_ORBIT_PAIRS, lambda n: (2 * 16 + 8 + 2) * 4**n, id="orbit"),
     ],
 )
 def test_each_memory_cap_is_the_largest_that_fits_the_budget(cap, cost):
@@ -82,11 +97,63 @@ def test_check_returns_integers_and_names_the_entry():
         (lambda: basis_matrix(7), "(MAX_BASIS_PAIRS), got 7"),
         (lambda: factorize_s0(7), "(MAX_BASIS_PAIRS), got 7"),
         (lambda: roundtrip_all(9), "(MAX_PROTOCOL_PAIRS), got 9"),
+        # checked before the ket is read, so a 26-qubit ket needs no more
+        (lambda: outcome_probabilities(s0(1), 13), "(MAX_MEASURE_PAIRS), got 13"),
+        (lambda: decode(s0(1), 13), "(MAX_MEASURE_PAIRS), got 13"),
+        (lambda: measure_generalized_bell(s0(1), 13, 0), "(MAX_MEASURE_PAIRS), got 13"),
+        (lambda: sample_measurements(s0(1), 13, 1, 0), "(MAX_MEASURE_PAIRS), got 13"),
+        (lambda: orthogonal_orbit_count(s0(1), 13), "(MAX_ORBIT_PAIRS), got 13"),
     ],
 )
 def test_library_sites_use_the_table(call, entry):
     with pytest.raises(ValueError, match=re.escape(entry)):
         call()
+
+
+_MEASURING = {
+    # entry point: (call, limits entry, largest peak per amplitude as a share
+    # of the ket's 16 B)
+    "outcome_probabilities": (outcome_probabilities, "MAX_MEASURE_PAIRS", 0.75),
+    "decode": (decode, "MAX_MEASURE_PAIRS", 0.75),
+    "measure_generalized_bell": (
+        lambda k, n: measure_generalized_bell(k, n, 0),
+        "MAX_MEASURE_PAIRS",
+        1.25,
+    ),
+    "sample_measurements": (
+        lambda k, n: sample_measurements(k, n, 16, 0),
+        "MAX_MEASURE_PAIRS",
+        1.25,
+    ),
+    "orthogonal_orbit_count": (orthogonal_orbit_count, "MAX_ORBIT_PAIRS", 1.75),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEASURING))
+def test_measuring_keeps_to_the_byte_budget_at_its_cap(name):
+    """The tracemalloc peak of a call beyond its ket, fitted as a·4^N + b at
+    N = 7 and 9, plus the ket, stays within BYTE_BUDGET at the entry's cap.
+    (The orbit count's sieve steps through all 4^N strings in Python, which
+    tracemalloc slows tenfold, so N = 10 would take seconds.)"""
+    call, entry, share = _MEASURING[name]
+    outcome_probabilities(s0(1), 1)  # allocates this thread's block buffers
+    peaks = {}
+    for n in (7, 9):
+        if name == "decode":
+            k = s_state(4**n - 1, n)
+        else:
+            k = random_ket(np.random.default_rng(n), 2 * n)
+        tracemalloc.start()
+        try:
+            call(k, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    a = (peaks[9] - peaks[7]) / (4**9 - 4**7)
+    b = peaks[7] - a * 4**7
+    assert a <= share * limits.AMPLITUDE_BYTES
+    cap = limits.CAPS[entry]
+    assert a * 4**cap + b + limits.AMPLITUDE_BYTES * 4**cap <= limits.BYTE_BUDGET
 
 
 def test_session_length_is_checked_in_the_library(monkeypatch):

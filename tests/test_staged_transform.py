@@ -1,7 +1,7 @@
 """The Walsh–Hadamard transform of the Bell measurement at its stage
 boundaries, and the real-valued encoder that feeds it.
 
-_bell_probabilities transforms over 2^N points as products with Hadamard
+outcome_probabilities transforms over 2^N points as products with Hadamard
 matrices of at most 2**STAGE_BITS rows.  With the width patched down to 1 or
 2 bits, N = 3..6 runs two to six stages, so every boundary between stages is
 exercised at sizes where a dense oracle is cheap.
@@ -22,6 +22,7 @@ from densecode import (
     s_state,
 )
 from densecode import protocol
+from densecode.bellbasis import pauli_masks
 
 from conftest import random_ket
 
@@ -101,6 +102,20 @@ def test_two_default_stages_match_direct_overlaps_at_n7():
     assert decode(encode(int(sampled[-1]), n), n) == sampled[-1]
 
 
+def test_a_ket_spanning_four_blocks_matches_direct_overlaps_at_n9():
+    """A complex ket is gathered one block of x-rows at a time, its real and
+    imaginary parts side by side: at N = 9 its 512 x-rows span 4 blocks."""
+    n = 9
+    rows = protocol.BLOCK_AMPLITUDES // (2 * 2**n)  # x-rows per block
+    assert 2**n // rows == 4
+    rng = np.random.default_rng(9)
+    k = random_ket(rng, 2 * n)
+    sampled = np.sort(rng.choice(4**n, size=64, replace=False))
+    assert set(pauli_masks(sampled, n)[1] // rows) == {0, 1, 2, 3}
+    direct = [abs(np.vdot(s_state(int(m), n).amplitudes, k.amplitudes)) ** 2 for m in sampled]
+    np.testing.assert_allclose(outcome_probabilities(k, n)[sampled], direct, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 3, 9])
 def test_encoded_amplitudes_are_real(n):
     messages = np.arange(min(4**n, 64))
@@ -114,13 +129,12 @@ def test_encoded_amplitudes_are_real(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_real_ket_probabilities_match_the_complex_cast(n):
+    """A real array goes through the transform as one part, its complex cast
+    (every Ket holds one) as two."""
     rng = np.random.default_rng(50 + n)
     amps = rng.normal(size=(3, 4**n))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    real = protocol._bell_probabilities(amps, n)
-    cast = protocol._bell_probabilities(amps.astype(complex), n)
-    np.testing.assert_allclose(real, cast, rtol=0, atol=1e-15)
-    for row, probs in zip(amps, real):
-        np.testing.assert_allclose(
-            outcome_probabilities(Ket(2 * n, row), n), probs, rtol=0, atol=1e-15
-        )
+    for row in amps:
+        real = protocol._bell_squares(row, n)
+        cast = outcome_probabilities(Ket(2 * n, row), n)
+        np.testing.assert_allclose(cast, real, rtol=0, atol=1e-15)
