@@ -268,10 +268,8 @@ def _live_rows_into(
     are a (len(messages), 2**n_pairs) view of rows (float64)."""
     z, x = _message_masks(messages, n_pairs)
     d = 2**n_pairs
-    size = len(x) * d
-    live = np.arange(0, size, d) + x
-    index = index[:size].reshape(-1, d)
-    rows = rows[:size].reshape(-1, d)
+    index = index[: len(x) * d].reshape(-1, d)
+    rows = rows[: len(x) * d].reshape(-1, d)
     # index[b, c] = z_b & c from two broadcast copies, since a broadcasting
     # ufunc allocates a buffer of its own; rows holds the c operand until take
     # overwrites it.  Every z & c is in range, and "clip" lets take write
@@ -279,14 +277,14 @@ def _live_rows_into(
     np.copyto(index, z[:, None])
     np.copyto(rows.view(np.int64), np.arange(d))
     np.bitwise_and(index, rows.view(np.int64), out=index)
-    return live, np.take(_encoding_tables(n_pairs)[2], index, out=rows, mode="clip")
+    return x, np.take(_encoding_tables(n_pairs)[2], index, out=rows, mode="clip")
 
 
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Each message's encoding as its one live row after the receiver's CNOTs:
-    (live, rows), where live[b] = b·2^N + x_b (int64, ascending) and rows[b, c]
-    = (-1)^popcount(z_b & c) / 2^{N/2}, a (len(messages), 2**n_pairs) float64
-    array.
+    (x, rows), where x[b] is message b's X-mask (int64, shape (B,)) and
+    rows[b, c] = (-1)^popcount(z_b & c) / 2^{N/2}, a (B, 2**n_pairs) float64
+    array, B = len(messages).
 
     s0 read as a 2^N x 2^N matrix (sender qubits index rows) is 2^{-N/2}·I,
     so the Pauli string makes it a signed permutation, rows[b, c] at Ψ_b[c,
@@ -304,12 +302,10 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
     a (len(messages), 4**n_pairs) float64 array.  The rows of
     encoded_live_rows are scattered back through the CNOTs, to Ψ_b[c, c⊕x_b]
     at c·2^N + (c⊕x_b), without applying gates one by one."""
-    live, rows = encoded_live_rows(messages, n_pairs)
-    d = 2**n_pairs
-    c = np.arange(d)
-    amps = np.zeros((len(rows), d * d))
-    positions = (live >> n_pairs)[:, None] * (d * d) + c * d + (c ^ (live & (d - 1))[:, None])
-    amps.reshape(-1)[positions] = rows
+    x, rows = encoded_live_rows(messages, n_pairs)
+    c = np.arange(2**n_pairs)
+    amps = np.zeros((len(rows), 4**n_pairs))
+    np.put_along_axis(amps, c * 2**n_pairs + (c ^ x[:, None]), rows, axis=1)
     return amps
 
 

@@ -237,7 +237,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_session(args) -> int:
-    n = _usage(limits.check, "--n", args.n, "MAX_PROTOCOL_PAIRS")
+    n = _usage(limits.check, "--n", args.n, "MAX_PAIRS")
     messages = args.messages
     if (not messages) == (args.random is None):
         raise UsageError("pass either explicit messages or --random COUNT")

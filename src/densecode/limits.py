@@ -12,8 +12,8 @@ BYTE_BUDGET = 2**30  # the most one array, or one command's working set, may tak
 AMPLITUDE_BYTES = 16  # one complex128 amplitude
 OUTCOME_BYTES = 8  # one float64 outcome probability
 # Peak RSS growth of `densecode session` per step (messages, transcript and
-# JSON text) between 100k and 200k random steps: about 1.3 KB at N = 2 and
-# 1.4 KB at N = 6; rounded up.
+# JSON text) between 100k and 200k random steps: about 1.3 KB at N = 2,
+# 1.4 KB at N = 6 and 1.5 KB at N = 13; rounded up.
 SESSION_STEP_BYTES = 2048
 
 # one ket of q qubits: 2^q amplitudes

@@ -124,15 +124,6 @@ def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
     return probs
 
 
-def _dense_rows(live: np.ndarray, rows: np.ndarray, count: int, n_pairs: int) -> np.ndarray:
-    """Rows of 2^N values put back in a zeroed (count, 4**n_pairs) block: row i
-    at positions live[i]·2^N .. live[i]·2^N + 2^N - 1."""
-    d = 2**n_pairs
-    dense = np.zeros((count * d, d))
-    dense[live] = rows
-    return dense.reshape(count, d * d)
-
-
 _buffers = threading.local()
 
 
@@ -141,7 +132,7 @@ def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     allocated on first use: an int64 index (the encoder's, or a gather's
     positions), the x-rows (live rows, or rows gathered from a ket), the
     transform's product (squared in place) and the spare its stages alternate
-    with.
+    with (a gather's second operand outside the transform).
 
     A block takes views of them, so a warm Bell measurement allocates no
     block-sized array.  (glibc hands a freed array of this size back to the
@@ -180,28 +171,26 @@ def _transform_rows(g: np.ndarray, n_pairs: int) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
 def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """|<s|ψ_b>|^2 for every outcome on the live rows of a block's encodings,
-    with the checks a Ket applies: (live, probs), where probs[i, z] is the
-    square for outcome (x, z) of message b and live[i] = b·2^N + x.  Every
-    other row of the measurement's layout is zero (see _dense_rows).
+    """|<s|ψ_b>|^2 for every outcome on the live row of each of a block's
+    encodings, with the checks a Ket applies: (x, probs), where probs[b, z] is
+    the square for outcome (x[b], z) of message b.  Every other row of the
+    measurement's layout is zero.
 
     The transform is orthonormal up to the exact factor 2^N, so by Parseval
-    the squares of a message's live rows sum to its encoding's squared norm,
+    the squares of a message's live row sum to its encoding's squared norm,
     and a NaN or infinity reaches that sum.  Only when a sum is off by more
-    than NORM_TOL are the rows put back in a block for check_amplitudes,
-    which names the fault.
+    than NORM_TOL do the rows go through check_amplitudes, which names the
+    fault.
 
     The rows, the transform and the squares are views of _block_buffers, so
     probs is valid until this thread's next block.
     """
     index, signs = _block_buffers()[:2]
-    live, rows = _live_rows_into(messages, n_pairs, index, signs)
+    x, rows = _live_rows_into(messages, n_pairs, index, signs)
     probs = _squares(_transform_rows(rows[None], n_pairs), n_pairs)
-    count = len(messages)
-    sums = np.bincount(live >> n_pairs, weights=probs.sum(axis=1), minlength=count)
-    if not (abs(sums - 1.0) <= NORM_TOL).all():
-        check_amplitudes(_dense_rows(live, rows, count, n_pairs))
-    return live, probs
+    if not (abs(probs.sum(axis=1) - 1.0) <= NORM_TOL).all():
+        check_amplitudes(rows)
+    return x, probs
 
 
 @cache
@@ -233,16 +222,24 @@ def _bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
     parts = flat.size // psi.size
     diagonal, shifts = _gather_tables(n_pairs, parts)
     bits = _message_bits(n_pairs)
-    index, rows = _block_buffers()[:2]
+    index, rows, _, spare = _block_buffers()
     probs = np.empty(d * d)
     step = BLOCK_AMPLITUDES // (parts * d)
     for start in range(0, d, step):
         x = slice(start, start + step)
-        at = index[: parts * d * min(step, d - start)].reshape(parts, -1, d)
-        np.bitwise_xor(diagonal, shifts[x, None], out=at)
-        g = np.take(flat, at, out=rows[: at.size].reshape(at.shape), mode="clip")
+        size = parts * d * min(step, d - start)
+        at = index[:size].reshape(parts, -1, d)
+        # each ufunc's operands are copied to full size first, the second into
+        # the spare, since a broadcasting ufunc allocates a buffer of its own
+        operand = spare[:size].view(np.int64).reshape(at.shape)
+        np.copyto(at, diagonal)
+        np.copyto(operand, shifts[x, None])
+        np.bitwise_xor(at, operand, out=at)
+        g = np.take(flat, at, out=rows[:size].reshape(at.shape), mode="clip")
         squares = _squares(_transform_rows(g, n_pairs), n_pairs)
-        np.bitwise_or(bits[x, None] << 1, bits, out=at[0])
+        np.copyto(at[0], bits[x, None] << 1)
+        np.copyto(operand[0], bits)
+        np.bitwise_or(at[0], operand[0], out=at[0])
         probs[at[0]] = squares
     return probs
 
@@ -325,25 +322,23 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     """Encode and decode every message; a noiseless channel must never fail.
 
     Messages go through in blocks of BLOCK_AMPLITUDES // 2^N, measured on
-    their live rows (_block_squares).  Message m decodes right when one of
-    its live rows x peaks at an outcome z with bits[x] << 1 | bits[z] = m
+    their live rows (_block_squares).  Message m decodes right when its live
+    row x peaks at an outcome z with bits[x] << 1 | bits[z] = m
     (_message_bits) with probability at least 1 - DECODE_TOL.  The squares of
     a message sum to 1 within NORM_TOL, so that peak is the message's largest
-    square, as a dense argmax would find.  A message that decodes to another one, or to
-    no basis state with certainty, is listed in ``failures``.
+    square, as a dense argmax would find.  A message that decodes to another
+    one, or to no basis state with certainty, is listed in ``failures``.
     """
     limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
     d = 2**n_pairs
     bits = _message_bits(n_pairs)
     messages = np.arange(d * d)
-    decoded = np.zeros(messages.size, dtype=bool)
+    decoded = np.empty(messages.size, dtype=bool)
     for block in _blocks(messages.size, n_pairs):
-        live, probs = _block_squares(messages[block], n_pairs)
+        x, probs = _block_squares(messages[block], n_pairs)
         best = probs.argmax(axis=1)
         sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
-        m = block.start + (live >> n_pairs)
-        right = bits[live & (d - 1)] << 1 | bits[best] == m
-        decoded[m[sure & right]] = True
+        decoded[block] = sure & (bits[x] << 1 | bits[best] == messages[block])
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,
@@ -423,27 +418,22 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     argsort(bits)); every other outcome has probability exactly 0, so the draw
     is the dense one over all 4^N.  Per-step measurement seeds come from one
     master PRNG, in message order, keeping whole transcripts reproducible
-    from the session seed.  An encoding on several x-rows, which has no one
-    row to sample, raises a ValueError naming its message.
+    from the session seed.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
     limits.check("session length", len(messages), "MAX_SESSION_STEPS", 0)
-    d = 2**n_pairs
     bits = _message_bits(n_pairs)
     ascending = np.argsort(bits)
     rng = np.random.default_rng(seed)
     steps = []
     for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
-        live, probs = _block_squares(sent, n_pairs)
-        if len(live) != len(sent):  # each message has a live row once checked
-            i = np.flatnonzero(np.bincount(live >> n_pairs) > 1)[0]
-            raise ValueError(f"message {sent[i]} is not a basis state: it spans several x-rows")
-        for m, x, row in zip(sent, live & (d - 1), probs):
+        x, probs = _block_squares(sent, n_pairs)
+        for m, mask, row in zip(sent, x, probs):
             step_seed = int(rng.integers(0, 2**63))
             k = _sample_outcome(row[ascending], step_seed).index
-            outcome = int(bits[x] << 1 | bits[ascending[k]])
+            outcome = int(bits[mask] << 1 | bits[ascending[k]])
             steps.append(
                 TranscriptStep(
                     message=m,

@@ -86,10 +86,11 @@ def json_value(data: dict, key: str, kind: type):
 def check_amplitudes(amps: np.ndarray) -> None:
     """The checks a Ket applies to its amplitudes, on one ket or on every row
     of a (B, 2**n) stack: every entry finite, and each row's norm within
-    NORM_TOL of 1."""
+    NORM_TOL of 1.  A norm past float64's range is inf, and fails."""
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite, got NaN or infinity")
-    norms = (np.abs(amps) ** 2).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        norms = (np.abs(amps) ** 2).sum(axis=-1)
     if (abs(norms - 1.0) > NORM_TOL).any():
         raise ValueError("amplitudes are not normalized")
 
@@ -109,10 +110,13 @@ class DensityMatrix:
             raise ValueError(f"dimension must be a power of two, got {d}")
         if not np.isfinite(m).all():
             raise ValueError("entries must be finite, got NaN or infinity")
-        if float(np.max(np.abs(m - m.conj().T))) > NORM_TOL:
-            raise ValueError("entries are not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr.real - 1.0) > NORM_TOL or abs(tr.imag) > NORM_TOL:
+        # past float64's range a difference is inf and a trace inf or NaN
+        # (inf - inf), and either fails its check
+        with np.errstate(over="ignore", invalid="ignore"):
+            if float(np.max(np.abs(m - m.conj().T))) > NORM_TOL:
+                raise ValueError("entries are not Hermitian")
+            tr = complex(np.trace(m))
+        if not (abs(tr.real - 1.0) <= NORM_TOL and abs(tr.imag) <= NORM_TOL):
             raise ValueError(f"trace must be 1, got {tr}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import densecode
 from densecode import Transcript, bell, g_to_s_map
 from densecode.bellbasis import BellLabel
 from densecode.cli import main
@@ -136,6 +141,23 @@ class TestCapacityCommand:
         assert out == ""
         assert err.startswith(f"error: malformed state in {path}: ")
         assert "finite" in err
+
+    def test_huge_finite_state(self, capsys, tmp_path):
+        """An amplitude near float64's largest overflows the norm: the state is
+        refused as not normalized, with no numpy warning first, in this process
+        (where a warning is an error) and in a fresh one (where it would print)."""
+        path = tmp_path / "big.json"
+        path.write_text('{"num_qubits": 2, "amplitudes": [[1e308, 0], [1e308, 0], [0, 0], [0, 0]]}')
+        want = f"error: malformed state in {path}: amplitudes are not normalized\n"
+        assert run(capsys, "capacity", f"file:{path}") == (2, "", want)
+        src = str(Path(densecode.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecode", "capacity", f"file:{path}"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
     def test_unknown_selector(self, capsys):
         code, _, _ = run(capsys, "capacity", "nonsense")

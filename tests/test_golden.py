@@ -31,6 +31,7 @@ CASES = {
     "session_n3_r50_s11.json": ["session", "--n", "3", "--random", "50", "--seed", "11"],
     "session_n5_r200_s5.json": ["session", "--n", "5", "--random", "200", "--seed", "5"],
     "session_n8_r40_s8.json": ["session", "--n", "8", "--random", "40", "--seed", "8"],
+    "session_n13_r20_s13.json": ["session", "--n", "13", "--random", "20", "--seed", "13"],
 }
 
 

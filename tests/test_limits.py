@@ -156,6 +156,24 @@ def test_measuring_keeps_to_the_byte_budget_at_its_cap(name):
     assert a * 4**cap + b + limits.AMPLITUDE_BYTES * 4**cap <= limits.BYTE_BUDGET
 
 
+def test_a_warm_ket_measurement_allocates_only_its_outcomes():
+    """Beyond its 8·4^N-byte outcome vector, a warm measurement of a ket
+    allocates no block-sized array: each block's gather and scatter positions
+    are built in this thread's block buffers (128 KiB each at N = 10 if a
+    broadcasting ufunc built them)."""
+    n = 10
+    k = random_ket(np.random.default_rng(n), 2 * n)
+    want = outcome_probabilities(k, n)  # allocates the block buffers and tables
+    tracemalloc.start()
+    try:
+        got = outcome_probabilities(k, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak - limits.OUTCOME_BYTES * 4**n < 32 * 1024
+
+
 def test_session_length_is_checked_in_the_library(monkeypatch):
     monkeypatch.setitem(limits.CAPS, "MAX_SESSION_STEPS", 2)
     assert len(session(1, [0, 3], 0).steps) == 2

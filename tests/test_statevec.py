@@ -52,6 +52,11 @@ class TestKet:
         with pytest.raises(ValueError, match="finite"):
             Ket(1, [bad, 0])
 
+    @pytest.mark.parametrize("amps", [[1e308, 1e308, 0, 0], [1e308 + 1e308j, 0, 0, 1]])
+    def test_rejects_a_norm_past_float64_range_without_a_warning(self, amps):
+        with pytest.raises(ValueError, match="^amplitudes are not normalized$"):
+            Ket(2, amps)
+
     def test_amplitudes_are_read_only(self):
         k = ket_from_bits([0])
         with pytest.raises(ValueError):
@@ -277,6 +282,24 @@ class TestDensityMatrix:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+    def test_rejects_a_trace_past_float64_range_without_a_warning(self):
+        with pytest.raises(ValueError, match=r"^trace must be 1, got \(inf\+0j\)$"):
+            DensityMatrix([[1e308, 1e308], [1e308, 1e308]])
+        with pytest.raises(ValueError, match="^entries are not Hermitian$"):
+            DensityMatrix([[0.5, 1e308], [-1e308, 0.5]])
+
+    def test_rejects_a_trace_that_overflows_to_nan(self):
+        """Partial sums of +inf and -inf make the trace NaN, which compares
+        false with everything: the check must still fail."""
+        diagonal = np.zeros(16)
+        diagonal[[0, 8]] = 1e308
+        diagonal[[1, 9]] = -1e308
+        diagonal[2] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.diag(diagonal).astype(complex).trace())
+        with pytest.raises(ValueError, match=r"^trace must be 1, got \(nan\+0j\)$"):
+            DensityMatrix(np.diag(diagonal))
 
     def test_json_roundtrip(self):
         rho = partial_trace(g_state(9), {0, 1})
