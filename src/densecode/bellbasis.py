@@ -25,6 +25,8 @@ from .statevec import (
 )
 
 PHASE_TOL = 1e-10
+# bits of the widest ±1 Hadamard matrix the encoder and protocol's transform use
+STAGE_BITS = 6
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -223,25 +225,35 @@ def _message_bits(n_pairs: int) -> np.ndarray:
 
 
 @cache
-def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables for the encoder, 2**n_pairs entries each.
+def _hadamard(bits: int) -> np.ndarray:
+    """The unnormalised ±1 Hadamard matrix H[i, j] = (-1)^popcount(i & j)."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
 
-    low[:, v] and high[:, v] are the stacked (z, x) masks contributed by a
-    message's low and high N bits equal to v, so a message's masks are
-    low[:, m & (d-1)] | high[:, m >> N].  signs[v] is (-1)^popcount(v) / 2^{N/2},
-    the nonzero amplitude for the sign pattern v.
+
+@cache
+def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Lookup tables for the encoder: (low, high, factors).
+
+    low[:, v] and high[:, v] (2**n_pairs entries each) are the stacked (z, x)
+    masks contributed by a message's low and high N bits equal to v, so a
+    message's masks are low[:, m & (d-1)] | high[:, m >> N].  A live row is
+    the Kronecker product of row z_i of each H_{2^k} in factors, z_i the bits
+    of z in group i of at most STAGE_BITS bits, the remainder first (7 is 1 +
+    6): only the first table is scaled, by 2^{-N/2}, the others are ±1.
     """
     d = 2**n_pairs
     half = np.arange(d)
     low = np.array(pauli_masks(half, n_pairs))
     high = np.array(pauli_masks(half << n_pairs, n_pairs))
-    parity = np.zeros(d, dtype=np.int64)
-    for k in range(n_pairs):
-        parity ^= (half >> k) & 1
-    signs = (1 - 2 * parity) * d**-0.5
-    for table in (low, high, signs):
+    rest, first = divmod(n_pairs - 1, STAGE_BITS)
+    factors = (_hadamard(first + 1) * d**-0.5, *[_hadamard(STAGE_BITS)] * rest)
+    for table in (low, high, factors[0]):
         table.setflags(write=False)
-    return low, high, signs
+    return low, high, factors
 
 
 def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,27 +269,38 @@ def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
             limits.check_message(int(messages[bad][0]), n_pairs)
     messages = messages.astype(np.int64, copy=False)
     low, high = _encoding_tables(n_pairs)[:2]
-    return low[:, messages & (2**n_pairs - 1)] | high[:, messages >> n_pairs]
+    low = np.take(low, messages & (2**n_pairs - 1), axis=1)
+    return low | np.take(high, messages >> n_pairs, axis=1)
 
 
 def _live_rows_into(
-    messages, n_pairs: int, index: np.ndarray, rows: np.ndarray
+    messages, n_pairs: int, scratch: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """encoded_live_rows written into flat buffers of at least
-    len(messages)·2^N entries: index (int64) is scratch, and the rows returned
-    are a (len(messages), 2**n_pairs) view of rows (float64)."""
+    """encoded_live_rows written into flat float64 buffers of at least
+    len(messages)·2^N entries: the rows returned are a (len(messages),
+    2**n_pairs) view of rows, and scratch holds the factor rows and partial
+    products (see _encoding_tables).  Every z_i is in range, and "clip" lets
+    take write straight into its out.  einsum, unlike a broadcasting ufunc,
+    allocates no buffer of its own."""
     z, x = _message_masks(messages, n_pairs)
-    d = 2**n_pairs
-    index = index[: len(x) * d].reshape(-1, d)
-    rows = rows[: len(x) * d].reshape(-1, d)
-    # index[b, c] = z_b & c from two broadcast copies, since a broadcasting
-    # ufunc allocates a buffer of its own; rows holds the c operand until take
-    # overwrites it.  Every z & c is in range, and "clip" lets take write
-    # straight into rows.
-    np.copyto(index, z[:, None])
-    np.copyto(rows.view(np.int64), np.arange(d))
-    np.bitwise_and(index, rows.view(np.int64), out=index)
-    return x, np.take(_encoding_tables(n_pairs)[2], index, out=rows, mode="clip")
+    tables = _encoding_tables(n_pairs)[2]
+    count = len(x)
+    rows = rows[: count << n_pairs].reshape(count, 2**n_pairs)
+    if len(tables) == 1:
+        return x, np.take(tables[0], z, axis=0, out=rows, mode="clip")
+    product, shift = None, n_pairs
+    for table in tables:
+        width = len(table)
+        shift -= width.bit_length() - 1
+        row, scratch = scratch[: count * width].reshape(count, width), scratch[count * width :]
+        np.take(table, (z >> shift) & (width - 1), axis=0, out=row, mode="clip")
+        if product is not None:
+            size = product.shape[1] * width
+            out, scratch = (scratch if shift else rows)[: count * size], scratch[count * size :]
+            np.einsum("bi,bj->bij", product, row, out=out.reshape(count, product.shape[1], width))
+            row = out.reshape(count, size)
+        product = row
+    return x, product
 
 
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +317,7 @@ def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     buffers (_live_rows_into).
     """
     size = np.size(messages) * 2 ** limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    return _live_rows_into(messages, n_pairs, np.empty(size, np.int64), np.empty(size))
+    return _live_rows_into(messages, n_pairs, np.empty(size), np.empty(size))
 
 
 def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from . import limits
-from .bellbasis import _live_rows_into, _message_bits, pauli_string, s_state
+from .bellbasis import STAGE_BITS, _hadamard, _live_rows_into, _message_bits, pauli_string, s_state
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
@@ -28,9 +28,6 @@ DECODE_TOL = 1e-8
 # 2^N per message, one live row each.
 # The live-row arrays of a block are views of per-thread buffers this size.
 BLOCK_AMPLITUDES = 2**17
-# The Walsh–Hadamard transform over 2^N points is done as products with ±1
-# Hadamard matrices of at most 2**STAGE_BITS rows: one gemm for N <= 6.
-STAGE_BITS = 6
 
 
 class NotABasisStateError(ValueError):
@@ -66,16 +63,6 @@ def _blocks(count: int, n_pairs: int):
     messages (at least one): one live row of 2^N floats per message."""
     rows = max(1, BLOCK_AMPLITUDES >> n_pairs)
     return (slice(start, start + rows) for start in range(0, count, rows))
-
-
-@cache
-def _hadamard(bits: int) -> np.ndarray:
-    """The unnormalised ±1 Hadamard matrix H[i, j] = (-1)^popcount(i & j)."""
-    h = np.ones((1, 1))
-    for _ in range(bits):
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
 
 
 def _stage_bits(n_pairs: int) -> list[int]:
@@ -129,10 +116,10 @@ _buffers = threading.local()
 
 def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """This thread's flat block buffers, BLOCK_AMPLITUDES entries each and
-    allocated on first use: an int64 index (the encoder's, or a gather's
-    positions), the x-rows (live rows, or rows gathered from a ket), the
-    transform's product (squared in place) and the spare its stages alternate
-    with (a gather's second operand outside the transform).
+    allocated on first use: an int64 index (a gather's positions, or read as
+    float64 the encoder's scratch), the x-rows (live rows, or rows gathered
+    from a ket), the transform's product (squared in place) and the spare its
+    stages alternate with (a gather's second operand outside the transform).
 
     A block takes views of them, so a warm Bell measurement allocates no
     block-sized array.  (glibc hands a freed array of this size back to the
@@ -185,10 +172,10 @@ def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     The rows, the transform and the squares are views of _block_buffers, so
     probs is valid until this thread's next block.
     """
-    index, signs = _block_buffers()[:2]
-    x, rows = _live_rows_into(messages, n_pairs, index, signs)
+    index, rows = _block_buffers()[:2]
+    x, rows = _live_rows_into(messages, n_pairs, index.view(np.float64), rows)
     probs = _squares(_transform_rows(rows[None], n_pairs), n_pairs)
-    if not (abs(probs.sum(axis=1) - 1.0) <= NORM_TOL).all():
+    if not (abs(np.einsum("ij->i", probs) - 1.0) <= NORM_TOL).all():
         check_amplitudes(rows)
     return x, probs
 
@@ -337,8 +324,8 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     for block in _blocks(messages.size, n_pairs):
         x, probs = _block_squares(messages[block], n_pairs)
         best = probs.argmax(axis=1)
-        sure = probs[np.arange(len(best)), best] >= 1.0 - DECODE_TOL
-        decoded[block] = sure & (bits[x] << 1 | bits[best] == messages[block])
+        sure = np.take(probs.ravel(), best + np.arange(0, probs.size, d)) >= 1.0 - DECODE_TOL
+        decoded[block] = sure & (np.take(bits, x) << 1 | np.take(bits, best) == messages[block])
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,

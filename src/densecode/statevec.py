@@ -243,12 +243,17 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite, got NaN or infinity")
-    if float(np.max(np.abs(a - a.conj().T))) > NORM_TOL:
-        raise ValueError("matrix is not Hermitian")
+    # past float64's range a difference or a sum of squares is inf, and fails
+    with np.errstate(over="ignore"):
+        if float(np.max(np.abs(a - a.conj().T))) > NORM_TOL:
+            raise ValueError("matrix is not Hermitian")
+        norm = np.linalg.norm(a)
     a = np.array(a, dtype=complex)
     d = a.shape[0]
     if d == 1:
         return np.array([a[0, 0].real])
+    if not np.isfinite(norm):  # the sweeps' norms would overflow
+        raise ValueError("matrix norm is past float64's range")
 
     for _ in range(_JACOBI_SWEEPS):
         # norm of the off-diagonal part, summed directly to avoid cancellation

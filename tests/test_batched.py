@@ -117,6 +117,25 @@ def test_live_rows_are_the_nonzero_rows_of_the_dense_layout(n):
         assert not dense.any()
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_live_rows_are_signed_parities_bit_for_bit(n):
+    """Rows built from the factor tables are exactly (1 - 2·parity(z & c))·
+    2^{-N/2}, sign bits included, across the factor boundaries 6/7 and 12/13;
+    an empty block keeps its shape however many factors N has."""
+    messages = np.random.default_rng(n).integers(0, 4**n, size=40)
+    x, rows = encoded_live_rows(messages, n)
+    z, want_x = pauli_masks(messages, n)
+    masked = z[:, None] & np.arange(2**n)
+    parity = np.zeros_like(masked)
+    for k in range(n):
+        parity ^= (masked >> k) & 1
+    want = (1 - 2 * parity) * (2**n) ** -0.5
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+    x, rows = encoded_live_rows([], n)
+    assert x.shape == (0,) and rows.shape == (0, 2**n)
+
+
 def test_the_public_encoder_returns_fresh_arrays():
     first = encoded_live_rows([3, 1, 0], 2)
     kept = [a.copy() for a in first]
@@ -235,7 +254,7 @@ def test_a_chunked_block_equals_one_transform_of_its_rows(n):
     assert np.array_equal(probs, want)
 
 
-@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("n", [5, 7, 8])
 def test_a_warm_roundtrip_allocates_no_block_array(n):
     """After warm-up a block's arrays are views of this thread's buffers, so
     the allocation peak stays under one block array of live rows."""
@@ -249,6 +268,21 @@ def test_a_warm_roundtrip_allocates_no_block_array(n):
     finally:
         tracemalloc.stop()
     assert peak < block_bytes
+
+
+def test_a_warm_session_block_of_two_factors_allocates_no_block_array():
+    """At N = 12 each live row is the product of two 6-bit factor rows, which
+    are made in this thread's block buffers, as the product is."""
+    messages = range(protocol.BLOCK_AMPLITUDES >> 12)  # one block
+    for _ in range(2):
+        session(12, messages, seed=0)
+    tracemalloc.start()
+    try:
+        assert all(s.success for s in session(12, messages, seed=0).steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < protocol.BLOCK_AMPLITUDES * 8
 
 
 def test_a_session_at_the_pair_cap_allocates_no_4_to_the_n_array():

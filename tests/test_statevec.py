@@ -236,6 +236,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eigenvalues(m)
 
+    def test_rejects_a_norm_past_float64_range_without_a_warning(self):
+        with pytest.raises(ValueError, match="^matrix norm is past float64's range$"):
+            hermitian_eigenvalues(np.array([[1e308, 1e308], [1e308, 1e308]]))
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            hermitian_eigenvalues(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
     def test_eigenvalue_sum_matches_trace(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
