@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bellbasis, capacity, limits, protocol
-from .bellbasis import BellLabel
+from .bellbasis import BellLabel, g_group, g_state
 from .statevec import Ket, equal_up_to_global_phase
 
 DEFAULT_SEED = 0x5DC0DE
@@ -119,51 +119,39 @@ def _bell_name(k: Ket) -> str:
 
 def cmd_basis(args) -> int:
     n = _usage(limits.check, "--n", args.n, "MAX_EMIT_PAIRS")
-
     if n == 2:
         # the 16 four-qubit states in g1..g16 order, grouped by carrier kets
-        records = []
-        for i in range(1, 17):
-            records.append(
-                {
-                    "index": bellbasis.g_to_s_map()[i - 1],
-                    "label": f"g{i}",
-                    "group": bellbasis.g_group(i),
-                    "state": bellbasis.g_state(i).to_dict(),
-                }
-            )
-        if args.format == "json":
-            _emit_json({"N": n, "states": records}, args.out)
-        else:
-            lines = []
-            for group in range(1, 5):
-                lines.append(f"Group {group}")
-                for rec in records:
-                    if rec["group"] != group:
-                        continue
-                    state = Ket.from_dict(rec["state"])
-                    lines.append(
-                        f"  {rec['label']:<4} (message {rec['index']:>2}): {format_state(state)}"
-                    )
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
-
-    records = []
-    for j in range(4**n):
-        state = bellbasis.s_state(j, n)
-        rec = {"index": j, "label": f"s{j}", "state": state.to_dict()}
-        if n == 1:
-            rec["bell"] = _bell_name(state)
-        records.append(rec)
-    if args.format == "json":
-        _emit_json({"N": n, "states": records}, args.out)
+        index = bellbasis.g_to_s_map()
+        records = [
+            {"index": index[i - 1], "label": f"g{i}", "group": g_group(i), "state": g_state(i)}
+            for i in range(1, 17)
+        ]
     else:
-        lines = []
+        records = [
+            {"index": j, "label": f"s{j}", "state": bellbasis.s_state(j, n)} for j in range(4**n)
+        ]
+        if n == 1:
+            for rec in records:
+                rec["bell"] = _bell_name(rec["state"])
+    if args.format == "json":
         for rec in records:
-            state = Ket.from_dict(rec["state"])
+            rec["state"] = rec["state"].to_dict()
+        _emit_json({"N": n, "states": records}, args.out)
+        return 0
+    lines = []
+    if n == 2:
+        for group in range(1, 5):
+            lines.append(f"Group {group}")
+            lines += [
+                f"  {rec['label']:<4} (message {rec['index']:>2}): {format_state(rec['state'])}"
+                for rec in records
+                if rec["group"] == group
+            ]
+    else:
+        for rec in records:
             name = rec["label"] if n != 1 else f"{rec['label']} ({rec['bell']})"
-            lines.append(f"{name:<12}: {format_state(state)}")
-        _emit("\n".join(lines) + "\n", args.out)
+            lines.append(f"{name:<12}: {format_state(rec['state'])}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -180,7 +168,7 @@ def cmd_roundtrip(args) -> int:
 
 def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, int]:
     if selector == "g1":
-        state, d_a = bellbasis.g_state(1), 4
+        state, d_a = g_state(1), 4
     elif selector == "ghz4":
         state, d_a = bellbasis.ghz4(), 4
     elif selector.startswith("s0:"):
@@ -256,7 +244,7 @@ def cmd_session(args) -> int:
 
 
 def cmd_ghz_compare(args) -> int:
-    g1 = bellbasis.g_state(1)
+    g1 = g_state(1)
     ghz = bellbasis.ghz4()
     result = {}
     for name, state in (("g1", g1), ("ghz", ghz)):

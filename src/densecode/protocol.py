@@ -74,29 +74,29 @@ def _stage_bits(n_pairs: int) -> list[int]:
 
 def _walsh_hadamard(g: np.ndarray, n_pairs: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh–Hadamard transform of float64 rows G[..., c] of 2^N
-    entries: entry [..., z] of the result, shaped like g, is
+    entries: entry [..., z] of the result, a view of out shaped like g, is
     Σ_c (-1)^popcount(z & c) G[..., c].
 
     The transform is a product with H_{2^N} = ⊗ H_{2^k} over groups of
-    k <= STAGE_BITS bits of c, one matrix product per group: O(2^N·Σ 2^k)
-    time per row, run by BLAS.  Applied to the x-rows of a state after the
-    receiver's CNOTs, these are the receiver's Hadamards.  The last stage
-    writes into the flat float64 buffer out and the stages before it
-    alternate between spare and out (at least g.size entries each), so g is
-    never written.
+    k <= STAGE_BITS bits of c, one BLAS matrix product per group and chunk of
+    _chunk_rows(N) rows: the receiver's Hadamards, on the x-rows after its
+    CNOTs.  A chunk's stages alternate between spare and the flat float64
+    buffer out, ending in out (g.size entries each), so g is never written.
     """
-    shape = g.shape
-    inner = 2**n_pairs
     stages = _stage_bits(n_pairs)
-    for i, bits in enumerate(stages):
-        inner >>= bits
-        view = (-1, 2**bits) if inner == 1 else (-1, 2**bits, inner)
-        dest = (out, spare)[(len(stages) - 1 - i) % 2][: g.size].reshape(view)
-        if inner == 1:
-            g = np.matmul(g.reshape(view), _hadamard(bits), out=dest)
-        else:
-            g = np.matmul(_hadamard(bits), g.reshape(view), out=dest)
-    return g.reshape(shape)
+    step = _chunk_rows(n_pairs) << n_pairs
+    for start in range(0, g.size, step):
+        chunk = g.reshape(-1)[start : start + step]
+        inner = 2**n_pairs
+        for i, bits in enumerate(stages):
+            inner >>= bits
+            view = (-1, 2**bits) if inner == 1 else (-1, 2**bits, inner)
+            dest = (out, spare)[(len(stages) - 1 - i) % 2][start : start + chunk.size].reshape(view)
+            if inner == 1:
+                chunk = np.matmul(chunk.reshape(view), _hadamard(bits), out=dest)
+            else:
+                chunk = np.matmul(_hadamard(bits), chunk.reshape(view), out=dest)
+    return out[: g.size].reshape(g.shape)
 
 
 def _squares(coef: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -116,10 +116,10 @@ _buffers = threading.local()
 
 def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """This thread's flat block buffers, BLOCK_AMPLITUDES entries each and
-    allocated on first use: an int64 index (a gather's positions, or read as
-    float64 the encoder's scratch), the x-rows (live rows, or rows gathered
-    from a ket), the transform's product (squared in place) and the spare its
-    stages alternate with (a gather's second operand outside the transform).
+    allocated on first use: an int64 index (a ket's gather and scatter
+    positions), the x-rows (live or gathered, then session's CDFs), the
+    transform's product (squared in place) and the spare its stages alternate
+    with (before them, the encoder's scratch or a gather's second operand).
 
     A block takes views of them, so a warm Bell measurement allocates no
     block-sized array.  (glibc hands a freed array of this size back to the
@@ -143,19 +143,6 @@ def _chunk_rows(n_pairs: int) -> int:
     return max(1, 2**19 >> (n_pairs + _stage_bits(n_pairs)[-1]))
 
 
-def _transform_rows(g: np.ndarray, n_pairs: int) -> np.ndarray:
-    """_walsh_hadamard of a (parts, R, 2^N) stack of x-rows of at most
-    BLOCK_AMPLITUDES floats, _chunk_rows(N) rows per call, into this thread's
-    product buffer: a view shaped like g, valid until its next block."""
-    product, spare = _block_buffers()[2:]
-    flat = g.reshape(-1)
-    step = _chunk_rows(n_pairs) << n_pairs
-    for start in range(0, g.size, step):
-        chunk = slice(start, start + step)
-        _walsh_hadamard(flat[chunk], n_pairs, product[chunk], spare[chunk])
-    return product[: g.size].reshape(g.shape)
-
-
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
 def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """|<s|ψ_b>|^2 for every outcome on the live row of each of a block's
@@ -172,9 +159,9 @@ def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     The rows, the transform and the squares are views of _block_buffers, so
     probs is valid until this thread's next block.
     """
-    index, rows = _block_buffers()[:2]
-    x, rows = _live_rows_into(messages, n_pairs, index.view(np.float64), rows)
-    probs = _squares(_transform_rows(rows[None], n_pairs), n_pairs)
+    rows, product, spare = _block_buffers()[1:]
+    x, rows = _live_rows_into(messages, n_pairs, spare, rows)
+    probs = _squares(_walsh_hadamard(rows[None], n_pairs, product, spare), n_pairs)
     if not (abs(np.einsum("ij->i", probs) - 1.0) <= NORM_TOL).all():
         check_amplitudes(rows)
     return x, probs
@@ -209,7 +196,7 @@ def _bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
     parts = flat.size // psi.size
     diagonal, shifts = _gather_tables(n_pairs, parts)
     bits = _message_bits(n_pairs)
-    index, rows, _, spare = _block_buffers()
+    index, rows, product, spare = _block_buffers()
     probs = np.empty(d * d)
     step = BLOCK_AMPLITUDES // (parts * d)
     for start in range(0, d, step):
@@ -223,7 +210,7 @@ def _bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
         np.copyto(operand, shifts[x, None])
         np.bitwise_xor(at, operand, out=at)
         g = np.take(flat, at, out=rows[:size].reshape(at.shape), mode="clip")
-        squares = _squares(_transform_rows(g, n_pairs), n_pairs)
+        squares = _squares(_walsh_hadamard(g, n_pairs, product, spare), n_pairs)
         np.copyto(at[0], bits[x, None] << 1)
         np.copyto(operand[0], bits)
         np.bitwise_or(at[0], operand[0], out=at[0])
@@ -239,20 +226,10 @@ def outcome_probabilities(k: Ket, n_pairs: int) -> np.ndarray:
     return _bell_squares(k.amplitudes, n_pairs)
 
 
-def _inverse_cdf_sample(probs: np.ndarray, draws: float | np.ndarray):
-    """Indices into probs for uniform draws in [0, 1), by inverse CDF.  A
-    draw below 1 times the positive total rounds to below the total, so every
-    index is in range."""
-    cdf = np.cumsum(probs)
+def _inverse_cdf_sample(cdf: np.ndarray, draws: float | np.ndarray):
+    """Outcome indices for uniform draws in [0, 1), by inverse CDF: a draw
+    below 1 times the positive total cdf[-1] stays below it, so in range."""
     return np.searchsorted(cdf, draws * cdf[-1], side="right")
-
-
-def _sample_outcome(probs: np.ndarray, seed: int) -> MeasurementOutcome:
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total}; input is not normalized")
-    index = int(_inverse_cdf_sample(probs, np.random.default_rng(seed).random()))
-    return MeasurementOutcome(index, float(probs[index]))
 
 
 def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutcome:
@@ -261,13 +238,18 @@ def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutc
     Sampling is inverse-CDF over outcomes in ascending index order from a
     seeded 64-bit PRNG, so a fixed seed and input give a fixed outcome.
     """
-    return _sample_outcome(outcome_probabilities(k, n_pairs), seed)
+    probs = outcome_probabilities(k, n_pairs)
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities sum to {total}; input is not normalized")
+    index = int(_inverse_cdf_sample(np.cumsum(probs), np.random.default_rng(seed).random()))
+    return MeasurementOutcome(index, float(probs[index]))
 
 
 def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarray:
     """``shots`` independent measurement outcomes drawn from one seeded stream."""
-    probs = outcome_probabilities(k, n_pairs)
-    return _inverse_cdf_sample(probs, np.random.default_rng(seed).random(shots))
+    cdf = np.cumsum(outcome_probabilities(k, n_pairs))
+    return _inverse_cdf_sample(cdf, np.random.default_rng(seed).random(shots))
 
 
 def decode(k: Ket, n_pairs: int) -> int:
@@ -310,22 +292,23 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
 
     Messages go through in blocks of BLOCK_AMPLITUDES // 2^N, measured on
     their live rows (_block_squares).  Message m decodes right when its live
-    row x peaks at an outcome z with bits[x] << 1 | bits[z] = m
-    (_message_bits) with probability at least 1 - DECODE_TOL.  The squares of
-    a message sum to 1 within NORM_TOL, so that peak is the message's largest
-    square, as a dense argmax would find.  A message that decodes to another
-    one, or to no basis state with certainty, is listed in ``failures``.
+    row x has an outcome z with bits[x] << 1 | bits[z] = m (_message_bits)
+    and probability at least 1 - DECODE_TOL.  A row's squares sum to 1 within
+    NORM_TOL, so one pass finds its one such square, as a dense argmax would.
+    A message that decodes to another one, or to no basis state with
+    certainty, is listed in ``failures``.
     """
     limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
     d = 2**n_pairs
     bits = _message_bits(n_pairs)
     messages = np.arange(d * d)
-    decoded = np.empty(messages.size, dtype=bool)
+    decoded = np.zeros(messages.size, dtype=bool)
     for block in _blocks(messages.size, n_pairs):
         x, probs = _block_squares(messages[block], n_pairs)
-        best = probs.argmax(axis=1)
-        sure = np.take(probs.ravel(), best + np.arange(0, probs.size, d)) >= 1.0 - DECODE_TOL
-        decoded[block] = sure & (np.take(bits, x) << 1 | np.take(bits, best) == messages[block])
+        sure = np.flatnonzero(probs >= 1.0 - DECODE_TOL)
+        row = sure >> n_pairs
+        m = block.start + row
+        decoded[m] = np.take(bits, np.take(x, row)) << 1 | np.take(bits, sure & (d - 1)) == m
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,
@@ -400,12 +383,12 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
     data.  Messages are encoded, checked and measured in blocks, on their
-    live rows, as in roundtrip_all.  A step samples the outcomes
-    bits[x] << 1 | bits[z] of its live row x in ascending order (z in
-    argsort(bits)); every other outcome has probability exactly 0, so the draw
-    is the dense one over all 4^N.  Per-step measurement seeds come from one
-    master PRNG, in message order, keeping whole transcripts reproducible
-    from the session seed.
+    live rows, as in roundtrip_all, whose Parseval check serves as the
+    sampler's.  A step samples the outcomes bits[x] << 1 | bits[z] of its
+    live row x in ascending order (z in argsort(bits)) from the block's CDFs;
+    every other outcome has probability exactly 0, so the draw is the dense
+    one over all 4^N.  Per-step measurement seeds come from one master PRNG,
+    in message order, keeping whole transcripts reproducible from the seed.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
@@ -417,9 +400,12 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
         x, probs = _block_squares(sent, n_pairs)
-        for m, mask, row in zip(sent, x, probs):
+        cdf = _block_buffers()[1][: probs.size].reshape(probs.shape)
+        np.take(probs, ascending, axis=1, out=cdf, mode="clip")
+        np.cumsum(cdf, axis=1, out=cdf)
+        for m, mask, row in zip(map(int, sent), x, cdf):
             step_seed = int(rng.integers(0, 2**63))
-            k = _sample_outcome(row[ascending], step_seed).index
+            k = _inverse_cdf_sample(row, np.random.default_rng(step_seed).random())
             outcome = int(bits[mask] << 1 | bits[ascending[k]])
             steps.append(
                 TranscriptStep(

@@ -234,9 +234,9 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, descending.
 
     Uses cyclic Jacobi rotations, sweeping until the off-diagonal Frobenius
-    norm drops below 1e-12.  Each rotation annihilates one off-diagonal
-    entry: the complex phase is absorbed first, then a real plane rotation
-    is applied.
+    norm is at most 1e-12 of the matrix's (both tolerances scale with it).
+    Each rotation annihilates one off-diagonal entry: the complex phase is
+    absorbed first, then a real plane rotation is applied.
     """
     a = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -258,13 +258,13 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     for _ in range(_JACOBI_SWEEPS):
         # norm of the off-diagonal part, summed directly to avoid cancellation
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < _JACOBI_OFFDIAG_TOL:
+        if off <= _JACOBI_OFFDIAG_TOL * norm:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
                 apq = a[p, q]
                 r = abs(apq)
-                if r < 1e-15:
+                if r <= 1e-15 * norm:
                     continue
                 phase = apq / r
                 theta = 0.5 * math.atan2(2.0 * r, (a[q, q] - a[p, p]).real)

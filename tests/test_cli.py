@@ -9,7 +9,8 @@ import pytest
 import densecode
 from densecode import Transcript, bell, g_to_s_map
 from densecode.bellbasis import BellLabel
-from densecode.cli import main
+from densecode.cli import format_state, main
+from densecode.statevec import Ket
 
 
 def run(capsys, *argv):
@@ -42,6 +43,16 @@ class TestBasisCommand:
         phi_plus = data["states"][0]["state"]
         assert phi_plus["num_qubits"] == 2
         assert phi_plus["amplitudes"][0][0] == pytest.approx(2**-0.5)
+
+    def test_four_pair_json_states_format_to_their_table_lines(self, capsys):
+        _, table, _ = run(capsys, "basis", "--n", "4")
+        _, out, _ = run(capsys, "basis", "--n", "4", "--format", "json")
+        records = json.loads(out)["states"]
+        assert len(records) == 4**4
+        lines = [
+            f"{rec['label']:<12}: {format_state(Ket.from_dict(rec['state']))}" for rec in records
+        ]
+        assert table == "\n".join(lines) + "\n"
 
     def test_emission_cap(self, capsys):
         code, _, err = run(capsys, "basis", "--n", "5")

@@ -195,6 +195,17 @@ class TestSession:
         transcript = session(2, [3, 14, 7], seed=1234)
         assert Transcript.from_json(transcript.to_json()) == transcript
 
+    @pytest.mark.parametrize(
+        "messages",
+        [np.arange(3), [np.int64(m) for m in range(3)], np.arange(3, dtype=np.uint8)],
+    )
+    def test_numpy_integer_messages_round_trip_through_json(self, messages):
+        transcript = session(2, messages, seed=0)
+        assert Transcript.from_json(transcript.to_json()) == transcript
+        assert transcript == session(2, [0, 1, 2], seed=0)
+        for step in transcript.steps:
+            assert type(step.message) is int and type(step.success) is bool
+
     def test_json_shape(self):
         data = session(1, [2], seed=8).to_dict()
         assert set(data) == {"N", "seed", "steps"}

@@ -242,6 +242,21 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
             hermitian_eigenvalues(np.array([[0.5, 1e308], [-1e308, 0.5]]))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-9, 1.0, 1e3, 1e150])
+    def test_tolerances_scale_with_the_matrix(self, scale):
+        a = np.random.default_rng(0).normal(size=(8, 8))
+        h = (a + a.T) * scale
+        ref = np.linalg.eigvalsh(h)[::-1]
+        assert np.max(np.abs(hermitian_eigenvalues(h) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_tiny_off_diagonal_entries_are_rotated(self):
+        eigs = hermitian_eigenvalues(np.array([[1e-20, 1e-20], [1e-20, 0.0]]))
+        golden = (1 + 5**0.5) / 2
+        assert np.allclose(eigs, [golden * 1e-20, (1 - golden) * 1e-20], rtol=1e-13, atol=0)
+
+    def test_zero_matrix_gives_zeros(self):
+        assert np.array_equal(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
+
     def test_eigenvalue_sum_matches_trace(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
