@@ -257,9 +257,8 @@ def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, tuple[np.nda
 
 
 def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z, x) masks of each message (see pauli_masks), after checking both
-    arguments: int64 arrays of shape (len(messages),)."""
-    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    """(z, x) masks of each message (see pauli_masks), after checking the
+    messages (callers check n_pairs): int64 arrays of shape (len(messages),)."""
     messages = np.asarray(messages).reshape(-1)
     if messages.size:
         if messages.dtype.kind not in "iu":

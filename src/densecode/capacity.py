@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .protocol import BLOCK_AMPLITUDES, _bell_squares
+from .protocol import _bell_squares, _blocks
 from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
@@ -115,11 +115,11 @@ def dense_coding_capacity(
 
 def _conj_reduced_state(psi: np.ndarray) -> np.ndarray:
     """conj(rho_A) = Ψ* Ψ^T of a ket read as a 2^N x 2^N matrix Ψ, a block of
-    rows at a time: no conjugate copy of the whole ket is made."""
+    rows (2^(N+1) floats, N + 1 the bit length of 2^N) at a time: no conjugate
+    copy of the whole ket is made."""
     rho = np.empty_like(psi)
-    step = BLOCK_AMPLITUDES // (2 * len(psi))
-    for start in range(0, len(psi), step):
-        np.matmul(psi[start : start + step].conj(), psi.T, out=rho[start : start + step])
+    for rows in _blocks(len(psi), len(psi).bit_length()):
+        np.matmul(psi[rows].conj(), psi.T, out=rho[rows])
     return rho
 
 

@@ -58,11 +58,11 @@ def encode(message: int, n_pairs: int) -> Ket:
     return s_state(message, n_pairs)
 
 
-def _blocks(count: int, n_pairs: int):
-    """Slices cutting ``count`` messages into blocks of BLOCK_AMPLITUDES // 2^N
-    messages (at least one): one live row of 2^N floats per message."""
-    rows = max(1, BLOCK_AMPLITUDES >> n_pairs)
-    return (slice(start, start + rows) for start in range(0, count, rows))
+def _blocks(count: int, row_bits: int):
+    """Slices cutting ``count`` rows of 2^row_bits float64s into blocks of at
+    most BLOCK_AMPLITUDES floats (at least one row): every blocked loop's rule."""
+    rows = max(1, BLOCK_AMPLITUDES >> row_bits)
+    return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
 
 
 def _stage_bits(n_pairs: int) -> list[int]:
@@ -198,10 +198,8 @@ def _bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
     bits = _message_bits(n_pairs)
     index, rows, product, spare = _block_buffers()
     probs = np.empty(d * d)
-    step = BLOCK_AMPLITUDES // (parts * d)
-    for start in range(0, d, step):
-        x = slice(start, start + step)
-        size = parts * d * min(step, d - start)
+    for x in _blocks(d, n_pairs + parts - 1):
+        size = parts * d * (x.stop - x.start)
         at = index[:size].reshape(parts, -1, d)
         # each ufunc's operands are copied to full size first, the second into
         # the spare, since a broadcasting ufunc allocates a buffer of its own

@@ -97,7 +97,7 @@ def check_amplitudes(amps: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace matrix over a power-of-two dimension."""
+    """Hermitian unit-trace matrix over a power-of-two dimension, kept exactly Hermitian."""
 
     entries: np.ndarray
 
@@ -115,6 +115,8 @@ class DensityMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             if float(np.max(np.abs(m - m.conj().T))) > NORM_TOL:
                 raise ValueError("entries are not Hermitian")
+            m /= 2  # an entry and its mirror add the same two halves, which cannot overflow
+            m += m.conj().T
             tr = complex(np.trace(m))
         if not (abs(tr.real - 1.0) <= NORM_TOL and abs(tr.imag) <= NORM_TOL):
             raise ValueError(f"trace must be 1, got {tr}")
@@ -218,10 +220,7 @@ def permute_qubits(k: Ket, perm) -> Ket:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("perm is not a permutation of the qubit positions")
-    inverse = [0] * n
-    for old, new in enumerate(perm):
-        inverse[new] = old
-    psi = k.amplitudes.reshape([2] * n).transpose(inverse)
+    psi = k.amplitudes.reshape([2] * n).transpose(np.argsort(perm))
     return Ket(n, psi.reshape(-1))
 
 
@@ -233,8 +232,10 @@ def pure_density(k: Ket) -> DensityMatrix:
 def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, descending.
 
-    Uses cyclic Jacobi rotations, sweeping until the off-diagonal Frobenius
-    norm is at most 1e-12 of the matrix's (both tolerances scale with it).
+    Checks max |a - a^H| <= NORM_TOL times the Frobenius norm, then sweeps
+    cyclic Jacobi rotations over the exact Hermitian part a/2 + a^H/2 (a
+    Hermitian a is kept as it is, as in DensityMatrix) until the off-diagonal
+    Frobenius norm is at most 1e-12 of the matrix's (tolerances scale with it).
     Each rotation annihilates one off-diagonal entry: the complex phase is
     absorbed first, then a real plane rotation is applied.
     """
@@ -245,23 +246,21 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite, got NaN or infinity")
     # past float64's range a difference or a sum of squares is inf, and fails
     with np.errstate(over="ignore"):
-        if float(np.max(np.abs(a - a.conj().T))) > NORM_TOL:
-            raise ValueError("matrix is not Hermitian")
-        norm = np.linalg.norm(a)
-    a = np.array(a, dtype=complex)
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real])
+        skew, norm = float(np.max(np.abs(a - a.conj().T))), np.linalg.norm(a)
+    if skew > NORM_TOL * norm or skew == math.inf:
+        raise ValueError("matrix is not Hermitian")
     if not np.isfinite(norm):  # the sweeps' norms would overflow
         raise ValueError("matrix norm is past float64's range")
+    a = a / 2  # as a DensityMatrix keeps its entries
+    a += a.conj().T
 
     for _ in range(_JACOBI_SWEEPS):
         # norm of the off-diagonal part, summed directly to avoid cancellation
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= _JACOBI_OFFDIAG_TOL * norm:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
+        for p in range(len(a) - 1):
+            for q in range(p + 1, len(a)):
                 apq = a[p, q]
                 r = abs(apq)
                 if r <= 1e-15 * norm:

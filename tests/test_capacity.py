@@ -37,6 +37,11 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.eye(2))  # trace 2
 
+    def test_a_near_hermitian_input_converges(self):
+        # the sweeps run on the exact Hermitian part, which they can diagonalise
+        rho = DensityMatrix([[0.5, 1e-11], [0.0, 0.5]])
+        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
+
     def test_bounds_on_random_density_matrices(self):
         rng = np.random.default_rng(17)
         for dim in (2, 4, 8):
@@ -79,6 +84,19 @@ class TestDenseCodingCapacity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dense_coding_capacity(pure_density(g_state(1)), 8, 4)
+
+    def test_a_validated_near_hermitian_matrix_gives_a_report(self):
+        """Skews within NORM_TOL of each entry could add past it in rho_B's
+        partial trace; a DensityMatrix keeps its exact Hermitian part, and so
+        every partial trace of it is exactly Hermitian."""
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        rho += np.triu(np.full((16, 16), 3e-11), 1)
+        report = dense_coding_capacity(DensityMatrix(rho), 4, 4)
+        assert 0.0 <= report.entropy_B <= 2.0
+        assert report.chi == pytest.approx(2.0 + report.entropy_B - report.entropy_AB, abs=1e-9)
 
     def test_report_consistency_and_json(self):
         report = dense_coding_capacity(pure_density(g_state(6)), 4, 4)

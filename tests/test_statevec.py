@@ -257,6 +257,21 @@ class TestHermitianEigenvalues:
     def test_zero_matrix_gives_zeros(self):
         assert np.array_equal(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
 
+    def test_a_tiny_skew_fails_the_check_scaled_to_the_matrix(self):
+        # 1e-20 is below NORM_TOL but the whole of this matrix
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            hermitian_eigenvalues(np.array([[0.0, 1e-20], [0.0, 0.0]]))
+
+    def test_a_near_hermitian_matrix_sweeps_its_hermitian_part(self):
+        eigs = hermitian_eigenvalues(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+        assert eigs.shape == (2,)
+        assert np.max(np.abs(eigs - 1.0)) <= 1e-10
+
+    def test_one_by_one_matrices_take_the_sweep_path(self):
+        assert np.array_equal(hermitian_eigenvalues(np.array([[3.0]])), [3.0])
+        with pytest.raises(ValueError, match="^matrix norm is past float64's range$"):
+            hermitian_eigenvalues(np.array([[1e200]]))
+
     def test_eigenvalue_sum_matches_trace(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -321,6 +336,25 @@ class TestDensityMatrix:
             assert np.isnan(np.diag(diagonal).astype(complex).trace())
         with pytest.raises(ValueError, match=r"^trace must be 1, got \(nan\+0j\)$"):
             DensityMatrix(np.diag(diagonal))
+
+    def test_keeps_the_exact_hermitian_part_of_a_near_hermitian_array(self):
+        rng = np.random.default_rng(5)
+        for scale in (1.0, 1e-6, 1e-12):
+            a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            a = (a + a.conj().T) * scale
+            a += 1e-11 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+            a += np.eye(16) * (1 - np.trace(a).real) / 16
+            entries = DensityMatrix(a).entries
+            assert np.array_equal(entries, entries.conj().T)
+            # halving is exact, so a/2 + a^H/2 rounds what (a + a^H) / 2 rounds
+            assert np.array_equal(entries, (a + a.conj().T) / 2)
+
+    def test_keeps_a_hermitian_array_as_it_is(self):
+        g = np.random.default_rng(6).normal(size=(8, 8, 2)) @ [1, 1j]
+        a = np.eye(8) + (g + g.conj().T) / 100
+        a /= np.trace(a).real
+        assert np.array_equal(a, a.conj().T)
+        assert np.array_equal(DensityMatrix(a).entries, a)
 
     def test_json_roundtrip(self):
         rho = partial_trace(g_state(9), {0, 1})
