@@ -99,9 +99,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        # not Path(out).write_text: pathlib would intern the parts of every path
-        with open(out, "w") as f:
-            f.write(text)
+        # UTF-8 whatever the locale; not Path.write_bytes, which interns paths
+        with open(out, "wb") as f:
+            f.write(text.encode())
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
@@ -265,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Superdense coding over generalized Bell bases: build, run, audit.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # each name's own parser, for main
 
     # --n, --format and --seed go only on the subcommands that read them
     def add_n(p):
@@ -315,8 +316,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # a named subcommand is parsed once, by its own parser, with what the
+        # two-level parse would print for arguments it does not know
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

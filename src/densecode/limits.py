@@ -28,7 +28,9 @@ MAX_CAPACITY_PAIRS = ((BYTE_BUDGET // (3 * AMPLITUDE_BYTES)).bit_length() - 1) /
 # measuring a 2N-qubit ket: the ket and its 4^N outcome probabilities
 MAX_MEASURE_PAIRS = ((BYTE_BUDGET // (AMPLITUDE_BYTES + OUTCOME_BYTES)).bit_length() - 1) // 2
 # an orbit count: the ket, the sender's reduced state (as many amplitudes),
-# 4^N squared Pauli traces and two 4^N boolean masks (overlaps and sieve)
+# 4^N squared Pauli traces and two 4^N boolean masks (overlaps and sieve).  It
+# bounds memory, not time: orthogonal_orbit_count(s0(n), n) takes 1.5-1.6 s at
+# n = 10, 6.0-6.6 s at 11 and 32-39 s at 12 (675 MB peak RSS; 2-core box)
 MAX_ORBIT_PAIRS = ((BYTE_BUDGET // (2 * AMPLITUDE_BYTES + OUTCOME_BYTES + 2)).bit_length() - 1) // 2
 MAX_SESSION_STEPS = BYTE_BUDGET // SESSION_STEP_BYTES
 # policy, output size: `basis --n 4` already prints 256 states of 256 amplitudes

@@ -237,9 +237,6 @@ def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutc
     seeded 64-bit PRNG, so a fixed seed and input give a fixed outcome.
     """
     probs = outcome_probabilities(k, n_pairs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total}; input is not normalized")
     index = int(_inverse_cdf_sample(np.cumsum(probs), np.random.default_rng(seed).random()))
     return MeasurementOutcome(index, float(probs[index]))
 

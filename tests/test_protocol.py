@@ -85,6 +85,17 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             measure_generalized_bell(ket_from_bits([0, 0]), 2, seed=0)
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+    def test_one_measurement_is_the_first_sampled_shot(self, n_pairs):
+        """A validated Ket is normalized, so a single measurement samples what
+        sample_measurements samples, with no check of its own."""
+        rng = np.random.default_rng(n_pairs)
+        for _ in range(20):
+            k = random_ket(rng, 2 * n_pairs)
+            seed = int(rng.integers(0, 2**63))
+            want = int(sample_measurements(k, n_pairs, 1, seed)[0])
+            assert measure_generalized_bell(k, n_pairs, seed).index == want
+
     def test_probabilities_normalize_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
