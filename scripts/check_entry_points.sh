@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Runs `python -m densecode` as a process: every golden command diffed against
+# its file under tests/golden, then the exit code 2 of each usage error.
+# Run from the repository root: bash scripts/check_entry_points.sh
+set -eo pipefail
+export PYTHONPATH=src
+python -m densecode roundtrip --n 5 | diff - tests/golden/roundtrip_n5.txt
+python -m densecode roundtrip --n 7 | diff - tests/golden/roundtrip_n7.txt
+python -m densecode roundtrip --n 8 | diff - tests/golden/roundtrip_n8.txt
+python -m densecode session --n 3 --random 50 --seed 11 | diff - tests/golden/session_n3_r50_s11.json
+python -m densecode session --n 8 --random 40 --seed 8 | diff - tests/golden/session_n8_r40_s8.json
+python -m densecode session --n 13 --random 20 --seed 13 | diff - tests/golden/session_n13_r20_s13.json
+python -m densecode basis --n 3 | diff - tests/golden/basis_n3.txt
+python -m densecode basis --n 3 --format json | diff - tests/golden/basis_n3.json
+python -m densecode ghz-compare | diff - tests/golden/ghz_compare.json
+python -m densecode factorize | diff - tests/golden/factorize.txt
+python scripts/resource_comparison.py | diff - tests/golden/resource_comparison.txt
+code=0
+python -m densecode roundtrip --n 9 || code=$?
+test "$code" -eq 2
+code=0
+python -m densecode session --n 14 --random 1 || code=$?
+test "$code" -eq 2
+code=0
+python -m densecode || code=$?
+test "$code" -eq 2
+# the usage line wraps with the terminal width: compare the last line
+code=0
+err=$(python -m densecode roundtrip --n 5 --format json 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "densecode: error: unrecognized arguments: --format json"

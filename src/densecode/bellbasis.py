@@ -272,21 +272,19 @@ def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return low | np.take(high, messages >> n_pairs, axis=1)
 
 
-def _live_rows_into(
-    messages, n_pairs: int, scratch: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """encoded_live_rows written into flat float64 buffers of at least
-    len(messages)·2^N entries: the rows returned are a (len(messages),
-    2**n_pairs) view of rows, and scratch holds the factor rows and partial
-    products (see _encoding_tables).  Every z_i is in range, and "clip" lets
-    take write straight into its out.  einsum, unlike a broadcasting ufunc,
-    allocates no buffer of its own."""
-    z, x = _message_masks(messages, n_pairs)
+def _live_rows_into(masks, n_pairs: int, scratch: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The live rows of encoded_live_rows for stacked (z, x) masks, shape (2,
+    B) (_message_masks), written into flat float64 buffers of at least
+    B·2^N entries: a (B, 2**n_pairs) view of rows.  A row depends on z only;
+    scratch holds the factor rows and partial products (see _encoding_tables).
+    Every z_i is in range, and "clip" lets take write straight into its out.
+    einsum, unlike a broadcasting ufunc, allocates no buffer of its own."""
+    z = masks[0]
     tables = _encoding_tables(n_pairs)[2]
-    count = len(x)
+    count = len(z)
     rows = rows[: count << n_pairs].reshape(count, 2**n_pairs)
     if len(tables) == 1:
-        return x, np.take(tables[0], z, axis=0, out=rows, mode="clip")
+        return np.take(tables[0], z, axis=0, out=rows, mode="clip")
     product, shift = None, n_pairs
     for table in tables:
         width = len(table)
@@ -299,7 +297,7 @@ def _live_rows_into(
             np.einsum("bi,bj->bij", product, row, out=out.reshape(count, product.shape[1], width))
             row = out.reshape(count, size)
         product = row
-    return x, product
+    return product
 
 
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +314,8 @@ def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     buffers (_live_rows_into).
     """
     size = np.size(messages) * 2 ** limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    return _live_rows_into(messages, n_pairs, np.empty(size), np.empty(size))
+    masks = _message_masks(messages, n_pairs)
+    return masks[1], _live_rows_into(masks, n_pairs, np.empty(size), np.empty(size))
 
 
 def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:

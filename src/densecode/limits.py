@@ -35,8 +35,8 @@ MAX_ORBIT_PAIRS = ((BYTE_BUDGET // (2 * AMPLITUDE_BYTES + OUTCOME_BYTES + 2)).bi
 MAX_SESSION_STEPS = BYTE_BUDGET // SESSION_STEP_BYTES
 # policy, output size: `basis --n 4` already prints 256 states of 256 amplitudes
 MAX_EMIT_PAIRS = 4
-# policy, run time: roundtrip_all(7) takes about 0.02 s and roundtrip_all(8) about
-# 0.14 s (2-core box, OpenBLAS, one BLAS thread per product)
+# policy, run time: roundtrip_all(7) takes about 0.01 s and roundtrip_all(8) about
+# 0.07 s (2-core box, OpenBLAS, one BLAS thread per product)
 MAX_PROTOCOL_PAIRS = 8
 
 CAPS = {name: cap for name, cap in globals().items() if name.startswith("MAX_")}

@@ -19,7 +19,16 @@ from functools import cache
 import numpy as np
 
 from . import limits
-from .bellbasis import STAGE_BITS, _hadamard, _live_rows_into, _message_bits, pauli_string, s_state
+from .bellbasis import (
+    STAGE_BITS,
+    _encoding_tables,
+    _hadamard,
+    _live_rows_into,
+    _message_bits,
+    _message_masks,
+    pauli_string,
+    s_state,
+)
 from .statevec import NORM_TOL, Ket, check_amplitudes, json_value
 
 DECODE_TOL = 1e-8
@@ -144,27 +153,30 @@ def _chunk_rows(n_pairs: int) -> int:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a faulty row fails the check below
-def _block_squares(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """|<s|ψ_b>|^2 for every outcome on the live row of each of a block's
-    encodings, with the checks a Ket applies: (x, probs), where probs[b, z] is
-    the square for outcome (x[b], z) of message b.  Every other row of the
-    measurement's layout is zero.
+def _block_squares(masks: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Unscaled squares 2^N·|<s|ψ_b>|^2 for every outcome on the live row of
+    each of a block's encodings, given their stacked (z, x) masks of shape
+    (2, B) (_message_masks), with the checks a Ket applies: squares[b, z] is
+    2^N times the probability of outcome (x_b, z) of message b.  Every other
+    row of the measurement's layout is zero.
 
     The transform is orthonormal up to the exact factor 2^N, so by Parseval
-    the squares of a message's live row sum to its encoding's squared norm,
-    and a NaN or infinity reaches that sum.  Only when a sum is off by more
-    than NORM_TOL do the rows go through check_amplitudes, which names the
-    fault.
+    the squares of a message's live row sum to 2^N times its encoding's
+    squared norm, and a NaN or infinity reaches that sum.  Only when a sum is
+    off by more than NORM_TOL·2^N do the rows go through check_amplitudes,
+    which names the fault.  Every comparison is then the scaled one times an
+    exact power of two, so it comes out the same.
 
     The rows, the transform and the squares are views of _block_buffers, so
-    probs is valid until this thread's next block.
+    squares is valid until this thread's next block.
     """
     rows, product, spare = _block_buffers()[1:]
-    x, rows = _live_rows_into(messages, n_pairs, spare, rows)
-    probs = _squares(_walsh_hadamard(rows[None], n_pairs, product, spare), n_pairs)
-    if not (abs(np.einsum("ij->i", probs) - 1.0) <= NORM_TOL).all():
+    rows = _live_rows_into(masks, n_pairs, spare, rows)
+    squares = _walsh_hadamard(rows, n_pairs, product, spare)
+    np.square(squares, out=squares)
+    if not (abs(np.einsum("ij->i", squares) - 2**n_pairs) <= NORM_TOL * 2**n_pairs).all():
         check_amplitudes(rows)
-    return x, probs
+    return squares
 
 
 @cache
@@ -285,25 +297,33 @@ class RoundTripReport:
 def roundtrip_all(n_pairs: int) -> RoundTripReport:
     """Encode and decode every message; a noiseless channel must never fail.
 
-    Messages go through in blocks of BLOCK_AMPLITUDES // 2^N, measured on
-    their live rows (_block_squares).  Message m decodes right when its live
-    row x has an outcome z with bits[x] << 1 | bits[z] = m (_message_bits)
-    and probability at least 1 - DECODE_TOL.  A row's squares sum to 1 within
-    NORM_TOL, so one pass finds its one such square, as a dense argmax would.
-    A message that decodes to another one, or to no basis state with
-    certainty, is listed in ``failures``.
+    Messages go through in blocks of whole rows of their high N bits (2N <=
+    log2 BLOCK_AMPLITUDES up to MAX_PROTOCOL_PAIRS), so one broadcast OR of
+    the encoder's low and high tables gives a block's stacked (z, x) masks,
+    and they are measured on their live rows (_block_squares).  Message m
+    decodes right when the unscaled square at its own outcome (x, z) reaches
+    (1 - DECODE_TOL)·2^N and bits[x] << 1 | bits[z] = m (_message_bits).  A
+    row's squares sum to 2^N within NORM_TOL·2^N, so no other square in it
+    can reach that threshold, and reading one square per message gives what
+    a dense argmax would.  A message that decodes to another one, or to no
+    basis state with certainty, is listed in ``failures``.
     """
     limits.check("n_pairs", n_pairs, "MAX_PROTOCOL_PAIRS")
     d = 2**n_pairs
     bits = _message_bits(n_pairs)
+    low, high = _encoding_tables(n_pairs)[:2]
     messages = np.arange(d * d)
-    decoded = np.zeros(messages.size, dtype=bool)
-    for block in _blocks(messages.size, n_pairs):
-        x, probs = _block_squares(messages[block], n_pairs)
-        sure = np.flatnonzero(probs >= 1.0 - DECODE_TOL)
-        row = sure >> n_pairs
-        m = block.start + row
-        decoded[m] = np.take(bits, np.take(x, row)) << 1 | np.take(bits, sure & (d - 1)) == m
+    decoded = np.empty(messages.size, dtype=bool)
+    sure = (1.0 - DECODE_TOL) * d
+    index = _block_buffers()[0]
+    for h in _blocks(d, 2 * n_pairs):
+        block = slice(h.start * d, h.stop * d)
+        masks = index[: 2 * (block.stop - block.start)].reshape(2, -1)
+        np.bitwise_or(low[:, None, :], high[:, h, None], out=masks.reshape(2, -1, d))
+        z, x = masks
+        squares = _block_squares(masks, n_pairs)
+        own = np.take(squares, np.arange(0, squares.size, d) + z)  # each square at (x, z)
+        decoded[block] = (own >= sure) & (bits[x] << 1 | bits[z] == messages[block])
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,
@@ -377,13 +397,17 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     Every step consumes a fresh shared resource state.  "Sending" the N
     qubits is a custody change only: a single process holds the joint
     state, so the transcript records the handover count instead of moving
-    data.  Messages are encoded, checked and measured in blocks, on their
-    live rows, as in roundtrip_all, whose Parseval check serves as the
-    sampler's.  A step samples the outcomes bits[x] << 1 | bits[z] of its
-    live row x in ascending order (z in argsort(bits)) from the block's CDFs;
-    every other outcome has probability exactly 0, so the draw is the dense
-    one over all 4^N.  Per-step measurement seeds come from one master PRNG,
-    in message order, keeping whole transcripts reproducible from the seed.
+    data.  Messages are encoded from their masks (_message_masks), checked
+    and measured in blocks, on their live rows, as in roundtrip_all, whose
+    Parseval check serves as the sampler's.  A step samples the outcomes
+    bits[x] << 1 | bits[z] of its live row x in ascending order (z in
+    argsort(bits)) from the block's CDFs; every other outcome has
+    probability exactly 0, so the draw is the dense one over all 4^N.  The
+    CDFs accumulate the unscaled squares, exactly 2^N times the
+    probabilities', and the inverse-CDF target draw·cdf[-1] scales with
+    them, so the search picks the same outcome.  Per-step measurement seeds
+    come from one master PRNG, in message order, keeping whole transcripts
+    reproducible from the seed.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
@@ -394,11 +418,12 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     steps = []
     for block in _blocks(len(messages), n_pairs):
         sent = messages[block]
-        x, probs = _block_squares(sent, n_pairs)
-        cdf = _block_buffers()[1][: probs.size].reshape(probs.shape)
-        np.take(probs, ascending, axis=1, out=cdf, mode="clip")
+        masks = _message_masks(sent, n_pairs)
+        squares = _block_squares(masks, n_pairs)
+        cdf = _block_buffers()[1][: squares.size].reshape(squares.shape)
+        np.take(squares, ascending, axis=1, out=cdf, mode="clip")
         np.cumsum(cdf, axis=1, out=cdf)
-        for m, mask, row in zip(map(int, sent), x, cdf):
+        for m, mask, row in zip(map(int, sent), masks[1], cdf):
             step_seed = int(rng.integers(0, 2**63))
             k = _inverse_cdf_sample(row, np.random.default_rng(step_seed).random())
             outcome = int(bits[mask] << 1 | bits[ascending[k]])

@@ -1,18 +1,22 @@
 """The batched encoder and Bell-measurement kernel against their one-row views.
 
-roundtrip_all and session push messages through encoded_live_rows and
+roundtrip_all and session push messages through the encoder of
+encoded_live_rows (_live_rows_into, from stacked (z, x) masks) and
 _walsh_hadamard in blocks, transforming only each message's live row and
 checking it by Parseval; session samples each message from its live row.
 Each block must give exactly what the per-message functions give, for a
 single block (N = 1) and for many blocks with a ragged last one (N = 6), the
 live row of each message must be its one nonzero row of the dense layout
 after the CNOTs (_after_cnots) and give exactly the dense transform's
-squares, and a faulty block must raise what a Ket raises.  Faults are built
-on a dense _after_cnots block, within each message's one x-row, and handed
-to protocol as its live rows (_live_rows), found by any nonzero, NaN or
-infinite entry, through the encoder it calls (_live_rows_into).  A block's
-arrays are views of buffers each thread keeps, so a warm block allocates no
-block-sized array and threads do not share them.
+squares, and a faulty block must raise what a Ket raises.  A block's squares
+are unscaled, 2^N times each outcome's probability, and tests scale them
+back by the exact 2^-N.  Faults are built on a dense _after_cnots block,
+within each message's one x-row, and handed to protocol as its live rows
+(_live_rows), found by any nonzero, NaN or infinite entry, through the
+encoder it calls (_live_rows_into), which recovers each row's message from
+its masks as bits[x] << 1 | bits[z].  A block's arrays are views of buffers
+each thread keeps, so a warm block allocates no block-sized array and
+threads do not share them.
 """
 
 import json
@@ -38,7 +42,7 @@ from densecode import (
     session,
 )
 from densecode import limits, protocol
-from densecode.bellbasis import _message_bits, encoded_live_rows, pauli_masks
+from densecode.bellbasis import _message_bits, _message_masks, encoded_live_rows, pauli_masks
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
 
@@ -50,7 +54,8 @@ def test_stacked_kernel_equals_per_ket_probabilities(n, rows):
     message's Ket gives when it is measured alone, up to rounding: 2^{-N/2}
     is inexact for odd N, and a one-row product is a gemv, not a gemm."""
     messages = np.random.default_rng(1000 * n + rows).integers(0, 4**n, size=rows)
-    x, probs = (a.copy() for a in protocol._block_squares(messages, n))
+    masks = _message_masks(messages, n)
+    x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
     assert np.array_equal(x, pauli_masks(messages, n)[1])
     bits = _message_bits(n)
     for m, mask, row in zip(messages, x, probs):
@@ -185,6 +190,18 @@ def test_blocks_cover_every_message_once(n):
     assert all(len(range(count)[block]) <= rows for block in blocks)
 
 
+@pytest.mark.parametrize("n", range(1, limits.MAX_PROTOCOL_PAIRS + 1))
+def test_a_roundtrip_block_holds_whole_rows_of_high_message_bits(n):
+    """roundtrip_all ORs a block's masks from whole rows of its messages' high
+    N bits, which needs the 2^17 / 2^N messages of a block to be a multiple
+    of 2^N: raising MAX_PROTOCOL_PAIRS or shrinking BLOCK_AMPLITUDES fails
+    here by name.  Its blocks are then those of one message per row."""
+    assert (protocol.BLOCK_AMPLITUDES >> n) % 2**n == 0
+    d = 2**n
+    high_rows = [slice(h.start * d, h.stop * d) for h in protocol._blocks(d, 2 * n)]
+    assert high_rows == list(protocol._blocks(d * d, n))
+
+
 def test_roundtrip_sizes_span_one_block_to_many():
     # test_protocol's roundtrip_all(1) and roundtrip_all(6) cover both ends;
     # roundtrip_all's blocks hold 2^N floats per message
@@ -226,7 +243,8 @@ def test_live_rows_give_the_dense_squares_on_encoder_output(n):
     for messages in lists:
         for block in protocol._blocks(len(messages), n):
             sent = messages[block]
-            x, probs = protocol._block_squares(sent, n)
+            masks = _message_masks(sent, n)
+            x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
             # the dense reference takes the block 64 messages at a time
             for i in range(0, len(sent), 64):
                 part = slice(i, i + 64)
@@ -247,7 +265,8 @@ def test_chunk_rows_keep_each_live_row_gemm_within_2_to_the_19():
 def test_a_chunked_block_equals_one_transform_of_its_rows(n):
     count = min(4**n, protocol.BLOCK_AMPLITUDES >> n)  # one block of roundtrip_all
     messages = np.random.default_rng(n).integers(0, 4**n, size=count)
-    x, probs = protocol._block_squares(messages, n)
+    masks = _message_masks(messages, n)
+    x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
     want_x, rows = encoded_live_rows(messages, n)
     assert np.array_equal(x, want_x)
     want = protocol._squares(_transform(rows[None], n), n)
@@ -341,12 +360,18 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
         assert _assert_live_rows_give_the_dense_squares(g, n, x, probs).tolist() == live_rows
 
 
+def _messages_of(masks, n):
+    """The message of each stacked (z, x) mask pair: bits[x] << 1 | bits[z]."""
+    bits = _message_bits(n)
+    return bits[masks[1]] << 1 | bits[masks[0]]
+
+
 def _corrupt_the_encoder(monkeypatch, corrupt):
     """Make the encoder protocol uses (_live_rows_into) emit the live rows of
-    corrupt(G), G the dense _after_cnots block of its messages."""
+    corrupt(G), G the dense _after_cnots block of its masks' messages."""
 
-    def corrupted(messages, n_pairs, *buffers):
-        return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)
+    def corrupted(masks, n_pairs, *buffers):
+        return _live_rows(corrupt(_after_cnots(_messages_of(masks, n_pairs), n_pairs)), n_pairs)[1]
 
     monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 
@@ -354,9 +379,10 @@ def _corrupt_the_encoder(monkeypatch, corrupt):
 def _encode_message_3_as_5(monkeypatch):
     original = protocol._live_rows_into
 
-    def swapped(messages, n_pairs, *buffers):
-        messages = np.asarray(messages).reshape(-1)
-        return original(np.where(messages == 3, 5, messages), n_pairs, *buffers)
+    def swapped(masks, n_pairs, *buffers):
+        messages = _messages_of(masks, n_pairs)
+        masks = _message_masks(np.where(messages == 3, 5, messages), n_pairs)
+        return original(masks, n_pairs, *buffers)
 
     monkeypatch.setattr(protocol, "_live_rows_into", swapped)
 
@@ -365,6 +391,22 @@ def _encode_message_3_as_5(monkeypatch):
 def test_a_message_decoding_to_another_counts_as_a_failure(monkeypatch, n):
     _encode_message_3_as_5(monkeypatch)
     assert roundtrip_all(n).failures == (3,)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("table, a, b", [(0, 1, 2), (1, 0, 3)])
+def test_encoding_tables_at_odds_with_message_bits_fail_their_messages(monkeypatch, n, table, a, b):
+    """Swap columns a and b of the low (0) or high (1) mask table: each
+    message whose low or high N bits are a or b gets its neighbour's masks,
+    so its own-outcome square is sure but bits[x] << 1 | bits[z] names the
+    neighbour.  roundtrip_all lists exactly those messages."""
+    tables = list(protocol._encoding_tables(n))
+    order = np.arange(2**n)
+    order[[a, b]] = b, a
+    tables[table] = tables[table][:, order]
+    monkeypatch.setattr(protocol, "_encoding_tables", lambda n_pairs: tuple(tables))
+    want = tuple(m for m in range(4**n) if (m >> n * table) % 2**n in (a, b))
+    assert roundtrip_all(n).failures == want
 
 
 def _session_one_message_at_a_time(n, messages, seed):
@@ -400,15 +442,17 @@ def _corrupt_message_3(monkeypatch, share=0.5):
     one live row; the gather into the measurement's layout is linear, so it
     commutes with the sum."""
 
-    def corrupted(messages, n_pairs, *buffers):
+    def corrupted(masks, n_pairs, *buffers):
+        messages = _messages_of(masks, n_pairs)
+
         def corrupt(amps):
-            for i, m in enumerate(np.asarray(messages).reshape(-1)):
+            for i, m in enumerate(messages):
                 if m == 3:
                     two = _after_cnots([2], n_pairs)[0]
                     amps[i] = amps[i] * (1 - share) ** 0.5 + two * share**0.5
             return amps
 
-        return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)
+        return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)[1]
 
     monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
 

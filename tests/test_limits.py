@@ -57,6 +57,17 @@ def test_derived_values():
     }
 
 
+def test_the_readme_limits_table_is_the_caps_table():
+    """Every row of the README's Limits table names a cap and its value as
+    limits.CAPS holds them, and every cap has a row."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Limits\n", 1)[1].split("\n| --- ", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split(" | ")[:2] for line in table.splitlines()[1:]]
+    caps = {name.strip("| `"): int(value.replace(",", "")) for name, value in rows}
+    assert len(caps) == len(rows)
+    assert caps == limits.CAPS
+
+
 @pytest.mark.parametrize(
     "cap, cost",
     [
