@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs `python -m densecode` as a process: every golden command diffed against
-# its file under tests/golden, then the exit code 2 of each usage error.
+# Runs `python -m densecode` and the experiment scripts as processes: every
+# golden command diffed against its file under tests/golden, then the exit code
+# 2 of each usage error.
 # Run from the repository root: bash scripts/check_entry_points.sh
 set -eo pipefail
 export PYTHONPATH=src
@@ -15,6 +16,7 @@ python -m densecode basis --n 3 --format json | diff - tests/golden/basis_n3.jso
 python -m densecode ghz-compare | diff - tests/golden/ghz_compare.json
 python -m densecode factorize | diff - tests/golden/factorize.txt
 python scripts/resource_comparison.py | diff - tests/golden/resource_comparison.txt
+python scripts/protocol_demo.py | diff - tests/golden/protocol_demo.txt
 code=0
 python -m densecode roundtrip --n 9 || code=$?
 test "$code" -eq 2

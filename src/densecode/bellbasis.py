@@ -23,10 +23,9 @@ from .statevec import (
     permute_qubits,
     tensor,
 )
+from .transform import live_rows_into, message_masks
 
 PHASE_TOL = 1e-10
-# bits of the widest ±1 Hadamard matrix the encoder and protocol's transform use
-STAGE_BITS = 6
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -198,124 +197,16 @@ def apply_pauli_string(k: Ket, ps: PauliString) -> Ket:
     return out
 
 
-def pauli_masks(message, n_pairs: int):
-    """(z, x) exponent masks of a message's Pauli string over the sender's rows.
-
-    Bit N-1-k of each mask is the exponent on qubit k (qubit 0 is the most
-    significant bit of a 2^N row index).  Works elementwise on integer arrays.
-    """
-    z = x = 0
-    for k in range(n_pairs):
-        z |= ((message >> (2 * k)) & 1) << (n_pairs - 1 - k)
-        x |= ((message >> (2 * k + 1)) & 1) << (n_pairs - 1 - k)
-    return z, x
-
-
-@cache
-def _message_bits(n_pairs: int) -> np.ndarray:
-    """The inverse of pauli_masks, 2**n_pairs int64 entries: bits[v] puts the
-    bits of mask v at a message's even positions, so the message with masks
-    (z, x) is bits[x] << 1 | bits[z]."""
-    v = np.arange(2**n_pairs)
-    bits = np.zeros_like(v)
-    for k in range(n_pairs):
-        bits |= ((v >> (n_pairs - 1 - k)) & 1) << (2 * k)
-    bits.setflags(write=False)
-    return bits
-
-
-@cache
-def _hadamard(bits: int) -> np.ndarray:
-    """The unnormalised ±1 Hadamard matrix H[i, j] = (-1)^popcount(i & j)."""
-    h = np.ones((1, 1))
-    for _ in range(bits):
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
-@cache
-def _encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Lookup tables for the encoder: (low, high, factors).
-
-    low[:, v] and high[:, v] (2**n_pairs entries each) are the stacked (z, x)
-    masks contributed by a message's low and high N bits equal to v, so a
-    message's masks are low[:, m & (d-1)] | high[:, m >> N].  A live row is
-    the Kronecker product of row z_i of each H_{2^k} in factors, z_i the bits
-    of z in group i of at most STAGE_BITS bits, the remainder first (7 is 1 +
-    6): only the first table is scaled, by 2^{-N/2}, the others are ±1.
-    """
-    d = 2**n_pairs
-    half = np.arange(d)
-    low = np.array(pauli_masks(half, n_pairs))
-    high = np.array(pauli_masks(half << n_pairs, n_pairs))
-    rest, first = divmod(n_pairs - 1, STAGE_BITS)
-    factors = (_hadamard(first + 1) * d**-0.5, *[_hadamard(STAGE_BITS)] * rest)
-    for table in (low, high, factors[0]):
-        table.setflags(write=False)
-    return low, high, factors
-
-
-def _message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z, x) masks of each message (see pauli_masks), after checking the
-    messages (callers check n_pairs): int64 arrays of shape (len(messages),)."""
-    messages = np.asarray(messages).reshape(-1)
-    if messages.size:
-        if messages.dtype.kind not in "iu":
-            raise ValueError(f"messages must be integers, got dtype {messages.dtype}")
-        if messages.min() < 0 or messages.max() >= 4**n_pairs:
-            bad = (messages < 0) | (messages >= 4**n_pairs)
-            limits.check_message(int(messages[bad][0]), n_pairs)
-    messages = messages.astype(np.int64, copy=False)
-    low, high = _encoding_tables(n_pairs)[:2]
-    low = np.take(low, messages & (2**n_pairs - 1), axis=1)
-    return low | np.take(high, messages >> n_pairs, axis=1)
-
-
-def _live_rows_into(masks, n_pairs: int, scratch: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The live rows of encoded_live_rows for stacked (z, x) masks, shape (2,
-    B) (_message_masks), written into flat float64 buffers of at least
-    B·2^N entries: a (B, 2**n_pairs) view of rows.  A row depends on z only;
-    scratch holds the factor rows and partial products (see _encoding_tables).
-    Every z_i is in range, and "clip" lets take write straight into its out.
-    einsum, unlike a broadcasting ufunc, allocates no buffer of its own."""
-    z = masks[0]
-    tables = _encoding_tables(n_pairs)[2]
-    count = len(z)
-    rows = rows[: count << n_pairs].reshape(count, 2**n_pairs)
-    if len(tables) == 1:
-        return np.take(tables[0], z, axis=0, out=rows, mode="clip")
-    product, shift = None, n_pairs
-    for table in tables:
-        width = len(table)
-        shift -= width.bit_length() - 1
-        row, scratch = scratch[: count * width].reshape(count, width), scratch[count * width :]
-        np.take(table, (z >> shift) & (width - 1), axis=0, out=row, mode="clip")
-        if product is not None:
-            size = product.shape[1] * width
-            out, scratch = (scratch if shift else rows)[: count * size], scratch[count * size :]
-            np.einsum("bi,bj->bij", product, row, out=out.reshape(count, product.shape[1], width))
-            row = out.reshape(count, size)
-        product = row
-    return product
-
-
 def encoded_live_rows(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each message's encoding as its one live row after the receiver's CNOTs:
-    (x, rows), where x[b] is message b's X-mask (int64, shape (B,)) and
-    rows[b, c] = (-1)^popcount(z_b & c) / 2^{N/2}, a (B, 2**n_pairs) float64
-    array, B = len(messages).
-
-    s0 read as a 2^N x 2^N matrix (sender qubits index rows) is 2^{-N/2}·I,
-    so the Pauli string makes it a signed permutation, rows[b, c] at Ψ_b[c,
-    c⊕x_b].  The CNOTs (sender qubit k controls receiver qubit k) move Ψ[c,
-    c⊕x] to G[x, c], so every x-row but x_b is zero.  Checks both arguments,
-    and returns fresh arrays: the protocol writes the same rows into its own
-    buffers (_live_rows_into).
+    """Each message's encoding as its live row after the receiver's CNOTs
+    (see densecode.transform): (x, rows), where x[b] is message b's X-mask
+    (int64, shape (B,)) and rows[b] its live row, a (B, 2**n_pairs) float64
+    array, B = len(messages).  Checks both arguments, and returns fresh
+    arrays: the measurement writes the same rows into its block buffers.
     """
     size = np.size(messages) * 2 ** limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    masks = _message_masks(messages, n_pairs)
-    return masks[1], _live_rows_into(masks, n_pairs, np.empty(size), np.empty(size))
+    masks = message_masks(messages, n_pairs)
+    return masks[1], live_rows_into(masks, n_pairs, np.empty(size), np.empty(size))
 
 
 def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:

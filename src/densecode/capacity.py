@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .protocol import _bell_squares, _blocks
 from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
+from .transform import bell_squares, blocks
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
 ORTHOGONALITY_TOL = 1e-8
@@ -118,7 +118,7 @@ def _conj_reduced_state(psi: np.ndarray) -> np.ndarray:
     rows (2^(N+1) floats, N + 1 the bit length of 2^N) at a time: no conjugate
     copy of the whole ket is made."""
     rho = np.empty_like(psi)
-    for rows in _blocks(len(psi), len(psi).bit_length()):
+    for rows in blocks(len(psi), len(psi).bit_length()):
         np.matmul(psi[rows].conj(), psi.T, out=rho[rows])
     return rho
 
@@ -131,7 +131,7 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     overlap with every kept state stays below ORTHOGONALITY_TOL in modulus.
     Strings compose by XOR of their indices up to a sign, so
     |<P_i k|P_j k>| = |tr(rho_A P_{i^j})| with rho_A the sender's reduced
-    state, and the Bell measurement of rho_A (_bell_squares) gives every
+    state, and the Bell measurement of rho_A (bell_squares) gives every
     overlap, in string-index order; the Paulis are real, so conj(rho_A) has
     the same moduli.  The greedy pass is then a sieve over indices, where a
     kept j blocks j ⊕ e for each overlapping index e: O(kept · overlapping)
@@ -143,8 +143,7 @@ def orthogonal_orbit_count(k: Ket, alice_qubits: int) -> int:
     if k.num_qubits != 2 * alice_qubits:
         raise ValueError(f"expected {2 * alice_qubits} qubits, got {k.num_qubits}")
     d = 2**alice_qubits
-    moduli = _bell_squares(_conj_reduced_state(k.amplitudes.reshape(d, d)), alice_qubits)
-    moduli *= d  # exact: undoes the measurement's 2^-N
+    moduli = bell_squares(_conj_reduced_state(k.amplitudes.reshape(d, d)), alice_qubits)
     overlapping = np.flatnonzero(np.sqrt(moduli, out=moduli) >= ORTHOGONALITY_TOL)
     del moduli  # the sieve needs only the indices
     blocked = np.zeros(d * d, dtype=bool)

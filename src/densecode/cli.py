@@ -210,7 +210,7 @@ def cmd_capacity(args) -> int:
 def cmd_factorize(args) -> int:
     reports = [bellbasis.factorize_report(i) for i in range(1, 17)]
     worst = max(r["max_deviation"] for r in reports)
-    if worst > 1e-10:
+    if worst > bellbasis.PHASE_TOL:
         sys.stderr.write(f"factorization reconstruction failed: deviation {worst}\n")
         return 1
     if args.format == "json":
@@ -232,6 +232,7 @@ def cmd_session(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.random is None:
+        _usage(limits.check, "session length", len(messages), "MAX_SESSION_STEPS", 0)
         for m in messages:
             _usage(limits.check_message, m, n)
     else:

@@ -33,6 +33,8 @@ MAX_MEASURE_PAIRS = ((BYTE_BUDGET // (AMPLITUDE_BYTES + OUTCOME_BYTES)).bit_leng
 # n = 10, 6.0-6.6 s at 11 and 32-39 s at 12 (675 MB peak RSS; 2-core box)
 MAX_ORBIT_PAIRS = ((BYTE_BUDGET // (2 * AMPLITUDE_BYTES + OUTCOME_BYTES + 2)).bit_length() - 1) // 2
 MAX_SESSION_STEPS = BYTE_BUDGET // SESSION_STEP_BYTES
+# sample_measurements: one float64 draw and one int64 index per shot
+MAX_SHOTS = BYTE_BUDGET // 16
 # policy, output size: `basis --n 4` already prints 256 states of 256 amplitudes
 MAX_EMIT_PAIRS = 4
 # policy, run time: roundtrip_all(7) takes about 0.01 s and roundtrip_all(8) about

@@ -1,9 +1,10 @@
 """The batched encoder and Bell-measurement kernel against their one-row views.
 
 roundtrip_all and session push messages through the encoder of
-encoded_live_rows (_live_rows_into, from stacked (z, x) masks) and
-_walsh_hadamard in blocks, transforming only each message's live row and
-checking it by Parseval; session samples each message from its live row.
+encoded_live_rows (transform.live_rows_into, from stacked (z, x) masks) and
+transform._walsh_hadamard in blocks, transforming only each message's live
+row and checking it by Parseval; session samples each message from its live
+row.
 Each block must give exactly what the per-message functions give, for a
 single block (N = 1) and for many blocks with a ragged last one (N = 6), the
 live row of each message must be its one nonzero row of the dense layout
@@ -11,9 +12,9 @@ after the CNOTs (_after_cnots) and give exactly the dense transform's
 squares, and a faulty block must raise what a Ket raises.  A block's squares
 are unscaled, 2^N times each outcome's probability, and tests scale them
 back by the exact 2^-N.  Faults are built on a dense _after_cnots block,
-within each message's one x-row, and handed to protocol as its live rows
+within each message's one x-row, and handed to the measurement as its live rows
 (_live_rows), found by any nonzero, NaN or infinite entry, through the
-encoder it calls (_live_rows_into), which recovers each row's message from
+encoder it calls (live_rows_into), which recovers each row's message from
 its masks as bits[x] << 1 | bits[z].  A block's arrays are views of buffers
 each thread keeps, so a warm block allocates no block-sized array and
 threads do not share them.
@@ -41,10 +42,11 @@ from densecode import (
     s_state,
     session,
 )
-from densecode import limits, protocol
-from densecode.bellbasis import _message_bits, _message_masks, encoded_live_rows, pauli_masks
+from densecode import limits, protocol, transform
+from densecode.bellbasis import encoded_live_rows
 from densecode.cli import main
 from densecode.statevec import check_amplitudes
+from densecode.transform import message_bits, message_masks, pauli_masks
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -54,10 +56,10 @@ def test_stacked_kernel_equals_per_ket_probabilities(n, rows):
     message's Ket gives when it is measured alone, up to rounding: 2^{-N/2}
     is inexact for odd N, and a one-row product is a gemv, not a gemm."""
     messages = np.random.default_rng(1000 * n + rows).integers(0, 4**n, size=rows)
-    masks = _message_masks(messages, n)
-    x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
+    masks = message_masks(messages, n)
+    x, probs = masks[1], transform.live_row_squares(masks, n) * 2.0**-n
     assert np.array_equal(x, pauli_masks(messages, n)[1])
-    bits = _message_bits(n)
+    bits = message_bits(n)
     for m, mask, row in zip(messages, x, probs):
         dense = np.zeros(4**n)
         dense[bits[mask] << 1 | bits] = row
@@ -147,7 +149,7 @@ def test_the_public_encoder_returns_fresh_arrays():
     second = encoded_live_rows([5, 2, 7], 2)
     roundtrip_all(2)  # fills this thread's block buffers
     for a in first:
-        for b in (*second, *protocol._block_buffers()):
+        for b in (*second, *transform.block_buffers()):
             assert not np.shares_memory(a, b)
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
@@ -182,9 +184,9 @@ def test_non_integer_messages_are_rejected_not_truncated():
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_blocks_cover_every_message_once(n):
-    rows = max(1, protocol.BLOCK_AMPLITUDES >> n)
+    rows = max(1, transform.BLOCK_AMPLITUDES >> n)
     count = 2 * rows + 3  # a ragged last block
-    blocks = list(protocol._blocks(count, n))
+    blocks = list(transform.blocks(count, n))
     covered = [i for block in blocks for i in range(count)[block]]
     assert covered == list(range(count))
     assert all(len(range(count)[block]) <= rows for block in blocks)
@@ -196,26 +198,32 @@ def test_a_roundtrip_block_holds_whole_rows_of_high_message_bits(n):
     N bits, which needs the 2^17 / 2^N messages of a block to be a multiple
     of 2^N: raising MAX_PROTOCOL_PAIRS or shrinking BLOCK_AMPLITUDES fails
     here by name.  Its blocks are then those of one message per row."""
-    assert (protocol.BLOCK_AMPLITUDES >> n) % 2**n == 0
+    assert (transform.BLOCK_AMPLITUDES >> n) % 2**n == 0
     d = 2**n
-    high_rows = [slice(h.start * d, h.stop * d) for h in protocol._blocks(d, 2 * n)]
-    assert high_rows == list(protocol._blocks(d * d, n))
+    high_rows = [slice(h.start * d, h.stop * d) for h in transform.blocks(d, 2 * n)]
+    assert high_rows == list(transform.blocks(d * d, n))
 
 
 def test_roundtrip_sizes_span_one_block_to_many():
     # test_protocol's roundtrip_all(1) and roundtrip_all(6) cover both ends;
     # roundtrip_all's blocks hold 2^N floats per message
-    assert len(list(protocol._blocks(4**1, 1))) == 1
-    assert len(list(protocol._blocks(4**6, 6))) > 1
+    assert len(list(transform.blocks(4**1, 1))) == 1
+    assert len(list(transform.blocks(4**6, 6))) > 1
 
 
 def test_an_n6_block_holds_more_than_four_messages():
-    assert len(range(4**6)[next(protocol._blocks(4**6, 6))]) > 4
+    assert len(range(4**6)[next(transform.blocks(4**6, 6))]) > 4
 
 
 def _transform(g, n):
     """_walsh_hadamard of g in one call, into fresh buffers."""
-    return protocol._walsh_hadamard(g, n, np.empty(g.size), np.empty(g.size))
+    return transform._walsh_hadamard(g, n, np.empty(g.size), np.empty(g.size))
+
+
+def _squares(coef, n):
+    """|<s|ψ_b>|^2 from a (parts, B, 2^N) transform: the parts' squares summed
+    and scaled by the exact 2^-N."""
+    return np.square(coef).sum(axis=0) * 2.0**-n
 
 
 def _assert_live_rows_give_the_dense_squares(g, n, x, probs):
@@ -223,7 +231,7 @@ def _assert_live_rows_give_the_dense_squares(g, n, x, probs):
     every row, whose other rows must square to 0; returns each message's
     count of nonzero x-rows.  No square is -0.0, so equality with NaNs equal
     is equality bit for bit up to NaN payloads."""
-    dense = protocol._squares(_transform(g[None], n), n).reshape(len(g), 2**n, 2**n)
+    dense = _squares(_transform(g[None], n), n).reshape(len(g), 2**n, 2**n)
     b = np.arange(len(g))
     assert np.array_equal(dense[b, x], probs, equal_nan=True)
     counts = (g.reshape(dense.shape) != 0).any(axis=2).sum(axis=1)
@@ -234,17 +242,17 @@ def _assert_live_rows_give_the_dense_squares(g, n, x, probs):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_live_rows_give_the_dense_squares_on_encoder_output(n):
-    rows = protocol.BLOCK_AMPLITUDES >> n
+    rows = transform.BLOCK_AMPLITUDES >> n
     lists = [
         np.random.default_rng(n).integers(0, 4**n, size=rows + 3),  # a ragged last block
         [1, 1, 0, 1],  # duplicates
         np.array([3, 2], dtype=np.uint8),
     ]
     for messages in lists:
-        for block in protocol._blocks(len(messages), n):
+        for block in transform.blocks(len(messages), n):
             sent = messages[block]
-            masks = _message_masks(sent, n)
-            x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
+            masks = message_masks(sent, n)
+            x, probs = masks[1], transform.live_row_squares(masks, n) * 2.0**-n
             # the dense reference takes the block 64 messages at a time
             for i in range(0, len(sent), 64):
                 part = slice(i, i + 64)
@@ -254,22 +262,22 @@ def test_live_rows_give_the_dense_squares_on_encoder_output(n):
 
 
 def test_chunk_rows_keep_each_live_row_gemm_within_2_to_the_19():
-    chunks = {n: protocol._chunk_rows(n) for n in range(1, 9)}
+    chunks = {n: transform._chunk_rows(n) for n in range(1, 9)}
     assert chunks == {1: 2**17, 2: 2**15, 3: 2**13, 4: 2**11, 5: 512, 6: 128, 7: 512, 8: 128}
     for n, rows in chunks.items():
-        last = protocol._stage_bits(n)[-1]
+        last = transform._stage_bits(n)[-1]
         assert rows * 2**n * 2**last <= 2**19  # M·K·N of the last stage's gemm
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_chunked_block_equals_one_transform_of_its_rows(n):
-    count = min(4**n, protocol.BLOCK_AMPLITUDES >> n)  # one block of roundtrip_all
+    count = min(4**n, transform.BLOCK_AMPLITUDES >> n)  # one block of roundtrip_all
     messages = np.random.default_rng(n).integers(0, 4**n, size=count)
-    masks = _message_masks(messages, n)
-    x, probs = masks[1], protocol._block_squares(masks, n) * 2.0**-n
+    masks = message_masks(messages, n)
+    x, probs = masks[1], transform.live_row_squares(masks, n) * 2.0**-n
     want_x, rows = encoded_live_rows(messages, n)
     assert np.array_equal(x, want_x)
-    want = protocol._squares(_transform(rows[None], n), n)
+    want = _squares(_transform(rows[None], n), n)
     assert np.array_equal(probs, want)
 
 
@@ -277,7 +285,7 @@ def test_a_chunked_block_equals_one_transform_of_its_rows(n):
 def test_a_warm_roundtrip_allocates_no_block_array(n):
     """After warm-up a block's arrays are views of this thread's buffers, so
     the allocation peak stays under one block array of live rows."""
-    block_bytes = min(4**n * 2**n, protocol.BLOCK_AMPLITUDES) * 8  # 256 KiB at N = 5
+    block_bytes = min(4**n * 2**n, transform.BLOCK_AMPLITUDES) * 8  # 256 KiB at N = 5
     for _ in range(2):
         roundtrip_all(n)
     tracemalloc.start()
@@ -292,7 +300,7 @@ def test_a_warm_roundtrip_allocates_no_block_array(n):
 def test_a_warm_session_block_of_two_factors_allocates_no_block_array():
     """At N = 12 each live row is the product of two 6-bit factor rows, which
     are made in this thread's block buffers, as the product is."""
-    messages = range(protocol.BLOCK_AMPLITUDES >> 12)  # one block
+    messages = range(transform.BLOCK_AMPLITUDES >> 12)  # one block
     for _ in range(2):
         session(12, messages, seed=0)
     tracemalloc.start()
@@ -301,7 +309,7 @@ def test_a_warm_session_block_of_two_factors_allocates_no_block_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < protocol.BLOCK_AMPLITUDES * 8
+    assert peak < transform.BLOCK_AMPLITUDES * 8
 
 
 def test_a_session_at_the_pair_cap_allocates_no_4_to_the_n_array():
@@ -356,35 +364,35 @@ def test_live_rows_give_the_dense_squares_on_faulty_blocks(n, fault, live_rows):
         g[1, np.flatnonzero(g[1])[0]] = np.nan if fault == "nan" else np.inf
     x, rows = _live_rows(g, n)
     with np.errstate(invalid="ignore", over="ignore"):
-        probs = protocol._squares(_transform(rows[None], n), n)
+        probs = _squares(_transform(rows[None], n), n)
         assert _assert_live_rows_give_the_dense_squares(g, n, x, probs).tolist() == live_rows
 
 
 def _messages_of(masks, n):
     """The message of each stacked (z, x) mask pair: bits[x] << 1 | bits[z]."""
-    bits = _message_bits(n)
+    bits = message_bits(n)
     return bits[masks[1]] << 1 | bits[masks[0]]
 
 
 def _corrupt_the_encoder(monkeypatch, corrupt):
-    """Make the encoder protocol uses (_live_rows_into) emit the live rows of
+    """Make the encoder the measurement uses (live_rows_into) emit the live rows of
     corrupt(G), G the dense _after_cnots block of its masks' messages."""
 
     def corrupted(masks, n_pairs, *buffers):
         return _live_rows(corrupt(_after_cnots(_messages_of(masks, n_pairs), n_pairs)), n_pairs)[1]
 
-    monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
+    monkeypatch.setattr(transform, "live_rows_into", corrupted)
 
 
 def _encode_message_3_as_5(monkeypatch):
-    original = protocol._live_rows_into
+    original = transform.live_rows_into
 
     def swapped(masks, n_pairs, *buffers):
         messages = _messages_of(masks, n_pairs)
-        masks = _message_masks(np.where(messages == 3, 5, messages), n_pairs)
+        masks = message_masks(np.where(messages == 3, 5, messages), n_pairs)
         return original(masks, n_pairs, *buffers)
 
-    monkeypatch.setattr(protocol, "_live_rows_into", swapped)
+    monkeypatch.setattr(transform, "live_rows_into", swapped)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -400,11 +408,11 @@ def test_encoding_tables_at_odds_with_message_bits_fail_their_messages(monkeypat
     message whose low or high N bits are a or b gets its neighbour's masks,
     so its own-outcome square is sure but bits[x] << 1 | bits[z] names the
     neighbour.  roundtrip_all lists exactly those messages."""
-    tables = list(protocol._encoding_tables(n))
+    tables = list(transform.encoding_tables(n))
     order = np.arange(2**n)
     order[[a, b]] = b, a
     tables[table] = tables[table][:, order]
-    monkeypatch.setattr(protocol, "_encoding_tables", lambda n_pairs: tuple(tables))
+    monkeypatch.setattr(protocol, "encoding_tables", lambda n_pairs: tuple(tables))
     want = tuple(m for m in range(4**n) if (m >> n * table) % 2**n in (a, b))
     assert roundtrip_all(n).failures == want
 
@@ -437,7 +445,7 @@ def test_session_matches_the_per_message_path(n, count):
 
 
 def _corrupt_message_3(monkeypatch, share=0.5):
-    """Make the encoder protocol uses (_live_rows_into) send √(1 - share)·s_3 +
+    """Make the encoder the measurement uses (live_rows_into) send √(1 - share)·s_3 +
     √share·s_2 for message 3.  Message 2 has its X-mask, so the sum stays on
     one live row; the gather into the measurement's layout is linear, so it
     commutes with the sum."""
@@ -454,7 +462,7 @@ def _corrupt_message_3(monkeypatch, share=0.5):
 
         return _live_rows(corrupt(_after_cnots(messages, n_pairs)), n_pairs)[1]
 
-    monkeypatch.setattr(protocol, "_live_rows_into", corrupted)
+    monkeypatch.setattr(transform, "live_rows_into", corrupted)
 
 
 def test_non_basis_state_counts_as_a_failure(monkeypatch):
@@ -509,7 +517,7 @@ def test_clean_blocks_are_never_put_back(monkeypatch):
     def never(*args):
         raise AssertionError("a clean block went through check_amplitudes")
 
-    monkeypatch.setattr(protocol, "check_amplitudes", never)
+    monkeypatch.setattr(transform, "check_amplitudes", never)
     assert all(s.success for s in session(3, range(64), seed=1).steps)
     for n in (1, 5, 7):
         assert roundtrip_all(n).failures == ()

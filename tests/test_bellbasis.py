@@ -26,7 +26,8 @@ from densecode import (
     s_to_g_map,
     tensor,
 )
-from densecode.bellbasis import BellLabel, GhzLabel, PauliString, _message_bits, pauli_masks
+from densecode.bellbasis import BellLabel, GhzLabel, PauliString
+from densecode.transform import message_bits, pauli_masks
 
 # Frozen expectations for the four Bell states: (basis index, sign) terms,
 # coefficient magnitude 1/sqrt(2).
@@ -179,6 +180,10 @@ class TestPauliString:
         assert ps.factors == ((0, 0), (0, 0), (0, 0))
         assert ps.tokens() == ""
 
+    def test_a_string_longer_than_the_ket_is_refused(self):
+        with pytest.raises(ValueError, match="longer than the ket"):
+            apply_pauli_string(bell(BellLabel.PHI_PLUS), pauli_string(63, 3))
+
     def test_message_two_flips_first_qubit(self):
         ps = pauli_string(2, 2)
         assert ps.factors == ((0, 1), (0, 0))
@@ -201,7 +206,7 @@ class TestPauliString:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_message_bits_invert_pauli_masks(self, n):
-        bits = _message_bits(n)
+        bits = message_bits(n)
         z, x = np.meshgrid(np.arange(2**n), np.arange(2**n), indexing="ij")
         got_z, got_x = pauli_masks(bits[z] | bits[x] << 1, n)
         assert np.array_equal(got_z, z) and np.array_equal(got_x, x)

@@ -37,6 +37,11 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.eye(2))  # trace 2
 
+    def test_rejects_a_negative_eigenvalue(self):
+        # Hermitian with unit trace, so a valid DensityMatrix
+        with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+            von_neumann_entropy(np.diag([1.5, -0.5]))
+
     def test_a_near_hermitian_input_converges(self):
         # the sweeps run on the exact Hermitian part, which they can diagonalise
         rho = DensityMatrix([[0.5, 1e-11], [0.0, 0.5]])

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import densecode
-from densecode import Transcript, bell, g_to_s_map
+from densecode import Transcript, bell, bellbasis, g_to_s_map
 from densecode.bellbasis import BellLabel
-from densecode.cli import format_state, main
+from densecode.cli import format_coefficient, format_state, main
 from densecode.statevec import Ket
 
 
@@ -108,6 +108,14 @@ class TestCapacityCommand:
         assert data["S_B"] == pytest.approx(1.0)
         assert data["chi"] == pytest.approx(2.0)
 
+    def test_an_odd_qubit_file_needs_d_a(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(Ket(3, [1, 0, 0, 0, 0, 0, 0, 0]).to_dict()))
+        code, out, err = run(capsys, "capacity", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == "error: state has an odd qubit count; pass --d-a explicitly\n"
+        assert run(capsys, "capacity", f"file:{path}", "--d-a", "2")[0] == 0
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "capacity", f"file:{tmp_path}/missing.json")
         assert code == 2
@@ -193,6 +201,18 @@ class TestFactorizeCommand:
         assert "g14  = |Psi->|Psi+>" in out
         assert "verified" in out
 
+    def test_a_failed_reconstruction_exits_1(self, capsys, monkeypatch):
+        deviation = 2 * bellbasis.PHASE_TOL
+        report = bellbasis.factorize_report
+
+        def off(i):
+            return {**report(i), "max_deviation": deviation}
+
+        monkeypatch.setattr(bellbasis, "factorize_report", off)
+        code, out, err = run(capsys, "factorize")
+        assert (code, out) == (1, "")
+        assert err == f"factorization reconstruction failed: deviation {deviation}\n"
+
 
 class TestSessionCommand:
     def test_random_messages(self, capsys, tmp_path):
@@ -275,3 +295,11 @@ class TestCommonBehavior:
         for record in data["states"]:
             i = int(record["label"][1:])
             assert record["index"] == expected[i - 1]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(0.5 + 0.5j, "(+0.5+0.5i)"), (-0.5, "-1/2"), (0.3, "+0.3"), (-1 / 3, "-0.3333333333")],
+)
+def test_format_coefficient_names_exact_magnitudes_and_prints_the_rest(value, text):
+    assert format_coefficient(complex(value)) == text

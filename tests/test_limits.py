@@ -42,6 +42,7 @@ def test_derived_values():
     assert limits.MAX_MEASURE_PAIRS == 12
     assert limits.MAX_ORBIT_PAIRS == 12
     assert limits.MAX_SESSION_STEPS == 2**19
+    assert limits.MAX_SHOTS == 2**26
     assert limits.MAX_EMIT_PAIRS == 4
     assert limits.MAX_PROTOCOL_PAIRS == 8
     assert set(limits.CAPS) == {
@@ -52,6 +53,7 @@ def test_derived_values():
         "MAX_MEASURE_PAIRS",
         "MAX_ORBIT_PAIRS",
         "MAX_SESSION_STEPS",
+        "MAX_SHOTS",
         "MAX_EMIT_PAIRS",
         "MAX_PROTOCOL_PAIRS",
     }
@@ -113,6 +115,13 @@ def test_check_returns_integers_and_names_the_entry():
         (lambda: decode(s0(1), 13), "(MAX_MEASURE_PAIRS), got 13"),
         (lambda: measure_generalized_bell(s0(1), 13, 0), "(MAX_MEASURE_PAIRS), got 13"),
         (lambda: sample_measurements(s0(1), 13, 1, 0), "(MAX_MEASURE_PAIRS), got 13"),
+        (lambda: sample_measurements(s0(1), 1, -1, 0), "(MAX_SHOTS), got -1"),
+        (lambda: sample_measurements(s0(1), 1, True, 0), "(MAX_SHOTS), got True"),
+        (lambda: sample_measurements(s0(1), 1, 1.5, 0), "(MAX_SHOTS), got 1.5"),
+        (
+            lambda: sample_measurements(s0(1), 1, limits.MAX_SHOTS + 1, 0),
+            f"(MAX_SHOTS), got {limits.MAX_SHOTS + 1}",
+        ),
         (lambda: orthogonal_orbit_count(s0(1), 13), "(MAX_ORBIT_PAIRS), got 13"),
     ],
 )
@@ -191,6 +200,16 @@ def test_session_length_is_checked_in_the_library(monkeypatch):
     with pytest.raises(ValueError) as info:
         session(1, [0, 3, 1], 0)
     assert str(info.value) == "session length must be in [0, 2] (MAX_SESSION_STEPS), got 3"
+
+
+def test_too_many_explicit_session_messages_are_a_usage_error(monkeypatch, capsys):
+    """The command counts explicit messages before it checks each one."""
+    monkeypatch.setitem(limits.CAPS, "MAX_SESSION_STEPS", 2)
+    assert main(["session", "--n", "1", "0", "3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: session length must be in [0, 2] (MAX_SESSION_STEPS), got 3\n"
+    assert main(["session", "--n", "1", "0", "3"]) == 0
 
 
 def test_capacity_of_a_ket_is_checked_in_the_library_and_the_cli(monkeypatch, capsys, tmp_path):

@@ -21,15 +21,24 @@ from densecode import (
     pauli_string,
     s_state,
 )
-from densecode import protocol
-from densecode.bellbasis import pauli_masks
+from densecode import protocol, transform
+from densecode.transform import pauli_masks
 
 from conftest import random_ket
 
 
 @pytest.fixture(params=[1, 2], ids=["1-bit stages", "2-bit stages"])
 def narrow_stages(request, monkeypatch):
-    monkeypatch.setattr(protocol, "STAGE_BITS", request.param)
+    """The transform's stages at STAGE_BITS = request.param.  STAGE_BITS itself
+    stays, since the encoder's cached factor tables are sized by it."""
+    stage_bits = transform._stage_bits
+
+    def narrow(n_pairs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "STAGE_BITS", request.param)
+            return stage_bits(n_pairs)
+
+    monkeypatch.setattr(transform, "_stage_bits", narrow)
     return request.param
 
 
@@ -47,8 +56,8 @@ def _dense_probabilities(k: Ket, n: int, messages) -> np.ndarray:
     [(6, 1, 1), (6, 6, 1), (6, 7, 2), (6, 12, 2), (6, 13, 3), (2, 5, 3), (1, 6, 6)],
 )
 def test_stage_widths_cover_every_bit_within_the_cap(monkeypatch, bits, n, stages):
-    monkeypatch.setattr(protocol, "STAGE_BITS", bits)
-    widths = protocol._stage_bits(n)
+    monkeypatch.setattr(transform, "STAGE_BITS", bits)
+    widths = transform._stage_bits(n)
     assert len(widths) == stages
     assert sum(widths) == n
     assert max(widths) <= bits
@@ -57,7 +66,7 @@ def test_stage_widths_cover_every_bit_within_the_cap(monkeypatch, bits, n, stage
 
 def test_hadamard_matrix_entries():
     for bits in range(4):
-        h = protocol._hadamard(bits)
+        h = transform._hadamard(bits)
         i = np.arange(2**bits)
         parity = np.array([[bin(a & b).count("1") % 2 for b in i] for a in i])
         assert np.array_equal(h, 1 - 2 * parity)
@@ -65,7 +74,7 @@ def test_hadamard_matrix_entries():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_narrow_stages_match_the_dense_basis(narrow_stages, n):
-    assert len(protocol._stage_bits(n)) >= 2
+    assert len(transform._stage_bits(n)) >= 2
     k = random_ket(np.random.default_rng(n), 2 * n)
     dense = np.abs(basis_matrix(n).conj() @ k.amplitudes) ** 2
     np.testing.assert_allclose(outcome_probabilities(k, n), dense, rtol=0, atol=1e-12)
@@ -92,7 +101,7 @@ def test_narrow_stages_round_trip(narrow_stages):
 
 def test_two_default_stages_match_direct_overlaps_at_n7():
     n = 7
-    assert len(protocol._stage_bits(n)) == 2
+    assert len(transform._stage_bits(n)) == 2
     rng = np.random.default_rng(7)
     k = random_ket(rng, 2 * n)
     sampled = np.sort(rng.choice(4**n, size=200, replace=False))
@@ -106,7 +115,7 @@ def test_a_ket_spanning_four_blocks_matches_direct_overlaps_at_n9():
     """A complex ket is gathered one block of x-rows at a time, its real and
     imaginary parts side by side: at N = 9 its 512 x-rows span 4 blocks."""
     n = 9
-    rows = protocol.BLOCK_AMPLITUDES // (2 * 2**n)  # x-rows per block
+    rows = transform.BLOCK_AMPLITUDES // (2 * 2**n)  # x-rows per block
     assert 2**n // rows == 4
     rng = np.random.default_rng(9)
     k = random_ket(rng, 2 * n)
@@ -135,6 +144,6 @@ def test_real_ket_probabilities_match_the_complex_cast(n):
     amps = rng.normal(size=(3, 4**n))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     for row in amps:
-        real = protocol._bell_squares(row, n)
+        real = transform.bell_squares(row, n) * 2.0**-n
         cast = outcome_probabilities(Ket(2 * n, row), n)
         np.testing.assert_allclose(cast, real, rtol=0, atol=1e-15)

@@ -109,6 +109,10 @@ class TestApplySingleQubit:
         with pytest.raises(ValueError):
             one_qubit_gate([[1, 0], [0, 2]])
 
+    def test_rejects_a_gate_that_is_not_2x2(self):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            one_qubit_gate(np.eye(4))
+
     @given(
         ket_strategy(3),
         st.integers(min_value=0, max_value=2),
@@ -159,6 +163,11 @@ class TestPartialTrace:
             partial_trace(bell(BellLabel.PHI_PLUS), set())
         with pytest.raises(ValueError):
             partial_trace(bell(BellLabel.PHI_PLUS), {0, 1})
+
+    @pytest.mark.parametrize("keep", [{0, 2}, {-1}])
+    def test_rejects_out_of_range_keep(self, keep):
+        with pytest.raises(ValueError, match="out-of-range"):
+            partial_trace(bell(BellLabel.PHI_PLUS), keep)
 
     @given(ket_strategy(3), st.sets(st.integers(min_value=0, max_value=2), min_size=1, max_size=2))
     def test_unit_trace(self, k, keep):
@@ -229,6 +238,10 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="must be square"):
+            hermitian_eigenvalues(np.ones((2, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
@@ -313,6 +326,11 @@ class TestDensityMatrix:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("entries", [np.ones((2, 4)) / 2, np.ones(4) / 4])
+    def test_rejects_a_non_square_matrix(self, entries):
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityMatrix(entries)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
