@@ -18,14 +18,13 @@ from .statevec import (
     Ket,
     PAULI_X,
     PAULI_Z,
+    PHASE_TOL,
     apply_single_qubit,
     equal_up_to_global_phase,
     permute_qubits,
     tensor,
 )
 from .transform import live_rows_into, message_masks
-
-PHASE_TOL = 1e-10
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -252,7 +251,7 @@ def s_to_g_map() -> tuple[int, ...]:
     mapping = []
     for j in range(16):
         sj = s_state(j, 2)
-        matches = [i for i in range(1, 17) if equal_up_to_global_phase(sj, g_state(i), PHASE_TOL)]
+        matches = [i for i in range(1, 17) if equal_up_to_global_phase(sj, g_state(i))]
         if len(matches) != 1:
             raise RuntimeError(f"message {j} matched g-states {matches}")
         mapping.append(matches[0])
@@ -268,17 +267,12 @@ def g_to_s_map() -> tuple[int, ...]:
     return tuple(forward.index(i) for i in range(1, 17))
 
 
-# permutation that swaps qubits 1 and 2 of a 4-qubit state, turning the
-# |AABB> layout into adjacent sender/receiver pairs |AB AB>
-_SWAP_MIDDLE = (0, 2, 1, 3)
-
-
 def factorize(i: int) -> tuple[BellLabel, BellLabel]:
     """Bell-pair decomposition of a g-state after interleaving the middle qubits."""
-    target = permute_qubits(g_state(i), _SWAP_MIDDLE)
+    target = permute_qubits(g_state(i), interleave_permutation(2))
     for first in BellLabel:
         for second in BellLabel:
-            if equal_up_to_global_phase(target, tensor(bell(first), bell(second)), PHASE_TOL):
+            if equal_up_to_global_phase(target, tensor(bell(first), bell(second))):
                 return first, second
     raise RuntimeError(f"no Bell-pair factorization found for g{i}")
 
@@ -286,7 +280,7 @@ def factorize(i: int) -> tuple[BellLabel, BellLabel]:
 def factorize_report(i: int) -> dict:
     """JSON-ready factorization record with its reconstruction deviation."""
     first, second = factorize(i)
-    target = permute_qubits(g_state(i), _SWAP_MIDDLE)
+    target = permute_qubits(g_state(i), interleave_permutation(2))
     product = tensor(bell(first), bell(second))
     phase = complex(np.vdot(product.amplitudes, target.amplitudes))
     phase /= abs(phase)
@@ -301,6 +295,7 @@ def factorize_report(i: int) -> dict:
 
 def interleave_permutation(n_pairs: int) -> tuple[int, ...]:
     """Moves each sender qubit next to its receiver partner: A_k -> 2k, B_k -> 2k+1."""
+    limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     perm = [0] * (2 * n_pairs)
     for k in range(n_pairs):
         perm[k] = 2 * k

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .statevec import DensityMatrix, Ket, hermitian_eigenvalues, json_value
+from .statevec import NORM_TOL, DensityMatrix, Ket, hermitian_eigenvalues, json_value
 from .transform import bell_squares, blocks
 
 EIGENVALUE_FLOOR = 1e-12  # eigenvalues at or below this count as exact zeros
@@ -28,7 +28,7 @@ def von_neumann_entropy(m: DensityMatrix | np.ndarray) -> float:
     if not isinstance(m, DensityMatrix):
         m = DensityMatrix(m)
     eigs = hermitian_eigenvalues(m)
-    if eigs[-1] < -1e-10:
+    if eigs[-1] < -NORM_TOL:
         raise ValueError(f"negative eigenvalue {eigs[-1]}; not a density matrix")
     return _entropy_bits(eigs)
 
@@ -93,7 +93,9 @@ def dense_coding_capacity(
         dim = 2**state.num_qubits
     else:
         dim = state.dim
-    if d_a < 1 or bob_dims < 1 or d_a * bob_dims != dim:
+    d_a = limits.check("d_a", d_a, f"bipartition of dimension {dim}", 1, dim)
+    bob_dims = limits.check("bob_dims", bob_dims, f"bipartition of dimension {dim}", 1, dim)
+    if d_a * bob_dims != dim:
         raise ValueError(f"bipartition {d_a} x {bob_dims} does not match dimension {dim}")
     if isinstance(state, Ket):
         schmidt = np.linalg.svd(state.amplitudes.reshape(d_a, bob_dims), compute_uv=False)

@@ -19,9 +19,9 @@ from .bellbasis import pauli_string, s_state
 from .statevec import Ket, json_value
 from .transform import (
     bell_squares,
-    block_buffers,
     blocks,
     encoding_tables,
+    live_row_cdfs,
     live_row_squares,
     message_bits,
     message_masks,
@@ -148,11 +148,9 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     messages = np.arange(d * d)
     decoded = np.empty(messages.size, dtype=bool)
     sure = (1.0 - DECODE_TOL) * d
-    index = block_buffers()[0]
     for h in blocks(d, 2 * n_pairs):
         block = slice(h.start * d, h.stop * d)
-        masks = index[: 2 * (block.stop - block.start)].reshape(2, -1)
-        np.bitwise_or(low[:, None, :], high[:, h, None], out=masks.reshape(2, -1, d))
+        masks = (low[:, None, :] | high[:, h, None]).reshape(2, -1)
         z, x = masks
         squares = live_row_squares(masks, n_pairs)
         own = np.take(squares, np.arange(0, squares.size, d) + z)  # each square at (x, z)
@@ -234,12 +232,12 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     and measured in blocks, on their live rows, as in roundtrip_all, whose
     Parseval check serves as the sampler's.  A step samples the outcomes
     bits[x] << 1 | bits[z] of its live row x in ascending order (z in
-    argsort(bits)) from the block's CDFs; every other outcome has
-    probability exactly 0, so the draw is the dense one over all 4^N.  The
-    CDFs accumulate unscaled squares, and the inverse-CDF target draw·cdf[-1]
-    scales with them, so the search picks the same outcome.  Per-step
-    measurement seeds come from one master PRNG, in message order, keeping
-    whole transcripts reproducible from the seed.
+    argsort(bits)) from the block's CDFs (live_row_cdfs); every other
+    outcome has probability exactly 0, so the draw is the dense one over all
+    4^N.  The CDFs accumulate unscaled squares, and the inverse-CDF target
+    draw·cdf[-1] scales with them, so the search picks the same outcome.
+    Per-step measurement seeds come from one master PRNG, in message order,
+    keeping whole transcripts reproducible from the seed.
     """
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
@@ -251,11 +249,8 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     for block in blocks(len(messages), n_pairs):
         sent = messages[block]
         masks = message_masks(sent, n_pairs)
-        squares = live_row_squares(masks, n_pairs)
-        cdf = block_buffers()[1][: squares.size].reshape(squares.shape)
-        np.take(squares, ascending, axis=1, out=cdf, mode="clip")
-        np.cumsum(cdf, axis=1, out=cdf)
-        for m, mask, row in zip(map(int, sent), masks[1], cdf):
+        cdfs = live_row_cdfs(masks, n_pairs, ascending)
+        for m, mask, row in zip(map(int, sent), masks[1], cdfs):
             step_seed = int(rng.integers(0, 2**63))
             k = _inverse_cdf_sample(row, np.random.default_rng(step_seed).random())
             outcome = int(bits[mask] << 1 | bits[ascending[k]])

@@ -12,12 +12,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
 from .limits import MAX_QUBITS, check
 
 NORM_TOL = 1e-10
+PHASE_TOL = 1e-10  # |<a|b>| >= 1 - PHASE_TOL: equal up to global phase
 _JACOBI_OFFDIAG_TOL = 1e-12
 _JACOBI_SWEEPS = 100  # sweeps before giving up
 
@@ -201,7 +203,10 @@ def inner(a: Ket, b: Ket) -> complex:
 def partial_trace(k: Ket, keep) -> DensityMatrix:
     """Reduced density matrix over the kept qubits, in ascending qubit order."""
     n = k.num_qubits
-    kept = sorted(set(keep))
+    kept = set(keep)
+    if not all(isinstance(q, Integral) and not isinstance(q, bool) for q in kept):
+        raise ValueError(f"keep must hold integer qubits, got {keep!r}")
+    kept = sorted(kept)
     if not kept:
         raise ValueError("keep must be nonempty")
     if any(not 0 <= q < n for q in kept):
@@ -240,8 +245,8 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     absorbed first, then a real plane rotation is applied.
     """
     a = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite, got NaN or infinity")
     # past float64's range a difference or a sum of squares is inf, and fails
@@ -283,8 +288,8 @@ def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a).real)[::-1]
 
 
-def equal_up_to_global_phase(a: Ket, b: Ket, tol: float = 1e-10) -> bool:
+def equal_up_to_global_phase(a: Ket, b: Ket) -> bool:
     """True when the two states differ only by an unobservable unit phase factor."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("kets have different qubit counts")
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
+    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - PHASE_TOL)

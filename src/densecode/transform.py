@@ -107,27 +107,36 @@ def message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
 def live_rows_into(masks, n_pairs: int, scratch: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The live rows for stacked (z, x) masks, shape (2, B) (message_masks),
     written into flat float64 buffers of at least B·2^N entries: a (B,
-    2**n_pairs) view of rows.  A row depends on z only; scratch holds the
-    factor rows and partial products (see encoding_tables).  Every z_i is in
-    range, and "clip" lets take write straight into its out.  einsum, unlike a
-    broadcasting ufunc, allocates no buffer of its own."""
+    2**n_pairs) view of rows.  A row depends on z only.
+
+    One factor table is one take.  With more, the partial products of the
+    factor rows (see encoding_tables) alternate between rows and scratch, the
+    last in rows, and each factor row is taken right after the product it
+    multiplies, so every intermediate fits in B·2^N floats for any
+    STAGE_BITS.  The encoder keeps its own grouping, the widest factor
+    innermost, not the transform's even split (_stage_bits), which made a
+    block at N = 7 or 8 take 15–40% longer on a 2-core box.  Every z_i is in
+    range, and "clip" lets take write straight into its out.  einsum, unlike
+    a broadcasting ufunc, allocates no buffer of its own."""
     z = masks[0]
     tables = encoding_tables(n_pairs)[2]
-    count = len(z)
-    rows = rows[: count << n_pairs].reshape(count, 2**n_pairs)
+    count, shift, product = len(z), n_pairs, None
     if len(tables) == 1:
-        return np.take(tables[0], z, axis=0, out=rows, mode="clip")
-    product, shift = None, n_pairs
-    for table in tables:
+        out = rows[: count << n_pairs].reshape(count, 2**n_pairs)
+        return np.take(tables[0], z, axis=0, out=out, mode="clip")
+    for i, table in enumerate(tables):
         width = len(table)
         shift -= width.bit_length() - 1
-        row, scratch = scratch[: count * width].reshape(count, width), scratch[count * width :]
+        here, other = (rows, scratch) if (len(tables) - i) % 2 else (scratch, rows)
+        if product is None:
+            row = here[: count * width].reshape(count, width)
+        else:
+            size = product.shape[1]
+            row = other[count * size : count * (size + width)].reshape(count, width)
         np.take(table, (z >> shift) & (width - 1), axis=0, out=row, mode="clip")
         if product is not None:
-            size = product.shape[1] * width
-            out, scratch = (scratch if shift else rows)[: count * size], scratch[count * size :]
-            np.einsum("bi,bj->bij", product, row, out=out.reshape(count, product.shape[1], width))
-            row = out.reshape(count, size)
+            out = here[: count * size * width].reshape(count, size, width)
+            row = np.einsum("bi,bj->bij", product, row, out=out).reshape(count, size * width)
         product = row
     return product
 
@@ -185,10 +194,10 @@ def _walsh_hadamard(g: np.ndarray, n_pairs: int, out: np.ndarray, spare: np.ndar
 _buffers = threading.local()
 
 
-def block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """This thread's flat block buffers, BLOCK_AMPLITUDES entries each and
     allocated on first use: an int64 index (a ket's gather and scatter
-    positions), the x-rows (live or gathered, then session's CDFs), the
+    positions), the x-rows (live or gathered, then live_row_cdfs' sums), the
     transform's product (squared in place) and the spare its stages alternate
     with (before them, the encoder's scratch or a gather's second operand).
 
@@ -218,16 +227,26 @@ def live_row_squares(masks: np.ndarray, n_pairs: int) -> np.ndarray:
     names the fault.  Every comparison is the scaled one times an exact power
     of two, so it comes out the same.
 
-    The rows, the transform and the squares are views of block_buffers, so
+    The rows, the transform and the squares are views of _block_buffers, so
     squares is valid until this thread's next block.
     """
-    rows, product, spare = block_buffers()[1:]
+    rows, product, spare = _block_buffers()[1:]
     rows = live_rows_into(masks, n_pairs, spare, rows)
     squares = _walsh_hadamard(rows, n_pairs, product, spare)
     np.square(squares, out=squares)
     if not (abs(np.einsum("ij->i", squares) - 2**n_pairs) <= NORM_TOL * 2**n_pairs).all():
         check_amplitudes(rows)
     return squares
+
+
+def live_row_cdfs(masks: np.ndarray, n_pairs: int, order: np.ndarray) -> np.ndarray:
+    """Cumulative sums along each row of live_row_squares(masks, n_pairs),
+    its columns taken in ``order`` (a permutation of range(2**n_pairs)),
+    built in the spent x-rows buffer: valid until this thread's next block."""
+    squares = live_row_squares(masks, n_pairs)
+    cdfs = _block_buffers()[1][: squares.size].reshape(squares.shape)
+    np.take(squares, order, axis=1, out=cdfs, mode="clip")
+    return np.cumsum(cdfs, axis=1, out=cdfs)
 
 
 @cache
@@ -256,7 +275,7 @@ def bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
     parts = flat.size // psi.size
     diagonal, shifts = _gather_tables(n_pairs, parts)
     bits = message_bits(n_pairs)
-    index, rows, product, spare = block_buffers()
+    index, rows, product, spare = _block_buffers()
     result = np.empty(d * d)
     for x in blocks(d, n_pairs + parts - 1):
         size = parts * d * (x.stop - x.start)

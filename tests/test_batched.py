@@ -48,6 +48,8 @@ from densecode.cli import main
 from densecode.statevec import check_amplitudes
 from densecode.transform import message_bits, message_masks, pauli_masks
 
+from conftest import assert_signed_parities
+
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("rows", [1, 3, 17])
@@ -126,21 +128,8 @@ def test_live_rows_are_the_nonzero_rows_of_the_dense_layout(n):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_live_rows_are_signed_parities_bit_for_bit(n):
-    """Rows built from the factor tables are exactly (1 - 2·parity(z & c))·
-    2^{-N/2}, sign bits included, across the factor boundaries 6/7 and 12/13;
-    an empty block keeps its shape however many factors N has."""
-    messages = np.random.default_rng(n).integers(0, 4**n, size=40)
-    x, rows = encoded_live_rows(messages, n)
-    z, want_x = pauli_masks(messages, n)
-    masked = z[:, None] & np.arange(2**n)
-    parity = np.zeros_like(masked)
-    for k in range(n):
-        parity ^= (masked >> k) & 1
-    want = (1 - 2 * parity) * (2**n) ** -0.5
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(rows.view(np.int64), want.view(np.int64))
-    x, rows = encoded_live_rows([], n)
-    assert x.shape == (0,) and rows.shape == (0, 2**n)
+    """Across the factor boundaries 6/7 and 12/13 (see assert_signed_parities)."""
+    assert_signed_parities(n)
 
 
 def test_the_public_encoder_returns_fresh_arrays():
@@ -149,7 +138,7 @@ def test_the_public_encoder_returns_fresh_arrays():
     second = encoded_live_rows([5, 2, 7], 2)
     roundtrip_all(2)  # fills this thread's block buffers
     for a in first:
-        for b in (*second, *transform.block_buffers()):
+        for b in (*second, *transform._block_buffers()):
             assert not np.shares_memory(a, b)
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)

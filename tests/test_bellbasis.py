@@ -150,7 +150,7 @@ class TestGStates:
         for kind, qubit in reversed(TABLE1_OPS[i]):
             gate = PAULI_Z if kind == "z" else PAULI_X
             state = apply_single_qubit(state, qubit - 1, gate)
-        assert equal_up_to_global_phase(state, g_state(i), 1e-10)
+        assert equal_up_to_global_phase(state, g_state(i))
 
 
 class TestS0:
@@ -188,13 +188,13 @@ class TestPauliString:
         ps = pauli_string(2, 2)
         assert ps.factors == ((0, 1), (0, 0))
         assert ps.tokens() == "X1"
-        assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(9), 1e-10)
+        assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(9))
 
     def test_message_three_is_zx_on_first_qubit(self):
         ps = pauli_string(3, 2)
         assert ps.factors == ((1, 1), (0, 0))
         assert ps.tokens() == "Z1 X1"
-        assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(10), 1e-10)
+        assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(10))
 
     def test_bit_layout_roundtrip(self):
         for message in range(64):
@@ -227,7 +227,7 @@ class TestPauliString:
 class TestSStates:
     @pytest.mark.parametrize("j,i", [(0, 1), (1, 2), (2, 9), (3, 10)])
     def test_low_message_correspondence(self, j, i):
-        assert equal_up_to_global_phase(s_state(j, 2), g_state(i), 1e-10)
+        assert equal_up_to_global_phase(s_state(j, 2), g_state(i))
 
     def test_full_correspondence_matches_frozen_mapping(self):
         assert s_to_g_map() == S_TO_G_EXPECTED
@@ -296,7 +296,7 @@ class TestFactorize:
         first, second = factorize(i)
         product = tensor(bell(first), bell(second))
         swapped = permute_qubits(g_state(i), (0, 2, 1, 3))
-        assert equal_up_to_global_phase(product, swapped, 1e-10)
+        assert equal_up_to_global_phase(product, swapped)
 
     def test_report_fields(self):
         report = factorize_report(8)

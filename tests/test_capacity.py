@@ -148,6 +148,16 @@ class TestDenseCodingCapacity:
         with pytest.raises(ValueError, match="bipartition"):
             dense_coding_capacity(g_state(1), 0, 16)
 
+    @pytest.mark.parametrize("state", [g_state(1), pure_density(g_state(1))], ids=["ket", "rho"])
+    @pytest.mark.parametrize(
+        "d_a, bob_dims, refused", [(4.0, 4, "d_a"), (True, 16, "d_a"), (4, 4.0, "bob_dims")]
+    )
+    def test_sizes_must_be_integers(self, state, d_a, bob_dims, refused):
+        """Refused by name, not by a numpy TypeError from a reshape."""
+        want = rf"^{refused} must be an integer in \[1, 16\] \(bipartition of dimension 16\)"
+        with pytest.raises(ValueError, match=want):
+            dense_coding_capacity(state, d_a, bob_dims)
+
     def test_consistency_on_random_pure_states(self):
         rng = np.random.default_rng(29)
         for _ in range(100):

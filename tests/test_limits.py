@@ -16,6 +16,7 @@ from densecode import (
     dense_coding_capacity,
     factorize_s0,
     g_state,
+    interleave_permutation,
     limits,
     measure_generalized_bell,
     orthogonal_orbit_count,
@@ -123,6 +124,8 @@ def test_check_returns_integers_and_names_the_entry():
             f"(MAX_SHOTS), got {limits.MAX_SHOTS + 1}",
         ),
         (lambda: orthogonal_orbit_count(s0(1), 13), "(MAX_ORBIT_PAIRS), got 13"),
+        (lambda: interleave_permutation(0), "(MAX_PAIRS), got 0"),
+        (lambda: interleave_permutation(-1), "(MAX_PAIRS), got -1"),
     ],
 )
 def test_library_sites_use_the_table(call, entry):

@@ -2,9 +2,10 @@
 boundaries, and the real-valued encoder that feeds it.
 
 outcome_probabilities transforms over 2^N points as products with Hadamard
-matrices of at most 2**STAGE_BITS rows.  With the width patched down to 1 or
-2 bits, N = 3..6 runs two to six stages, so every boundary between stages is
-exercised at sizes where a dense oracle is cheap.
+matrices of at most 2**STAGE_BITS rows, and the encoder builds each live row
+from factors of at most STAGE_BITS bits.  With the width patched down to 1 or
+2 bits, N = 3..6 runs two to six stages and factors, so every boundary
+between them is exercised at sizes where a dense oracle is cheap.
 """
 
 import numpy as np
@@ -24,22 +25,18 @@ from densecode import (
 from densecode import protocol, transform
 from densecode.transform import pauli_masks
 
-from conftest import random_ket
+from conftest import assert_signed_parities, random_ket
 
 
 @pytest.fixture(params=[1, 2], ids=["1-bit stages", "2-bit stages"])
 def narrow_stages(request, monkeypatch):
-    """The transform's stages at STAGE_BITS = request.param.  STAGE_BITS itself
-    stays, since the encoder's cached factor tables are sized by it."""
-    stage_bits = transform._stage_bits
-
-    def narrow(n_pairs):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transform, "STAGE_BITS", request.param)
-            return stage_bits(n_pairs)
-
-    monkeypatch.setattr(transform, "_stage_bits", narrow)
-    return request.param
+    """The transform's stages and the encoder's factors at STAGE_BITS =
+    request.param, the encoder's cached tables rebuilt for it and dropped
+    after the test."""
+    transform.encoding_tables.cache_clear()
+    monkeypatch.setattr(transform, "STAGE_BITS", request.param)
+    yield request.param
+    transform.encoding_tables.cache_clear()
 
 
 def _dense_probabilities(k: Ket, n: int, messages) -> np.ndarray:
@@ -93,6 +90,12 @@ def test_narrow_stages_keep_the_pauli_frame(narrow_stages, n):
     for m, e in rng.integers(0, 4**n, size=(8, 2)):
         m, e = int(m), int(e)
         assert decode(apply_pauli_string(encode(m, n), pauli_string(e, n)), n) == m ^ e
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_narrow_factors_give_signed_parities_bit_for_bit(narrow_stages, n):
+    assert len(transform.encoding_tables(n)[2]) == -(-n // narrow_stages)
+    assert_signed_parities(n)
 
 
 def test_narrow_stages_round_trip(narrow_stages):

@@ -169,6 +169,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out-of-range"):
             partial_trace(bell(BellLabel.PHI_PLUS), keep)
 
+    @pytest.mark.parametrize("keep", [[1.5], [True], [np.float64(1.0)]])
+    def test_rejects_non_integer_keep(self, keep):
+        with pytest.raises(ValueError, match=r"^keep must hold integer qubits, got \["):
+            partial_trace(g_state(1), keep)
+
     @given(ket_strategy(3), st.sets(st.integers(min_value=0, max_value=2), min_size=1, max_size=2))
     def test_unit_trace(self, k, keep):
         rho = partial_trace(k, keep)
@@ -243,6 +248,10 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="must be square"):
             hermitian_eigenvalues(np.ones((2, 4)))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square and nonempty, got shape \(0, 0\)$"):
+            hermitian_eigenvalues(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         m = np.array([[bad, 0], [0, 1.0]], dtype=complex)
@@ -297,16 +306,16 @@ class TestEqualUpToGlobalPhase:
     def test_pure_phase(self):
         k = bell(BellLabel.PSI_PLUS)
         shifted = Ket(2, np.exp(1j * np.pi / 3) * k.amplitudes)
-        assert equal_up_to_global_phase(k, shifted, 1e-10)
+        assert equal_up_to_global_phase(k, shifted)
 
     def test_orthogonal_states_differ(self):
-        assert not equal_up_to_global_phase(g_state(1), g_state(2), 1e-10)
+        assert not equal_up_to_global_phase(g_state(1), g_state(2))
 
     def test_zx_matches_iy(self):
         assert np.allclose(ZX, 1j * PAULI_Y, atol=1e-15)
         via_zx = apply_single_qubit(bell(BellLabel.PHI_PLUS), 0, ZX)
         via_iy = apply_single_qubit(bell(BellLabel.PHI_PLUS), 0, 1j * np.asarray(PAULI_Y))
-        assert equal_up_to_global_phase(via_zx, via_iy, 1e-10)
+        assert equal_up_to_global_phase(via_zx, via_iy)
         assert np.allclose(via_zx.amplitudes, bell(BellLabel.PSI_MINUS).amplitudes, atol=1e-12)
 
     def test_dimension_mismatch(self):
