@@ -203,10 +203,10 @@ def inner(a: Ket, b: Ket) -> complex:
 def partial_trace(k: Ket, keep) -> DensityMatrix:
     """Reduced density matrix over the kept qubits, in ascending qubit order."""
     n = k.num_qubits
-    kept = set(keep)
-    if not all(isinstance(q, Integral) and not isinstance(q, bool) for q in kept):
+    keep = list(keep)
+    if not all(isinstance(q, Integral) and not isinstance(q, bool) for q in keep):
         raise ValueError(f"keep must hold integer qubits, got {keep!r}")
-    kept = sorted(kept)
+    kept = sorted(set(keep))
     if not kept:
         raise ValueError("keep must be nonempty")
     if any(not 0 <= q < n for q in kept):

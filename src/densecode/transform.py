@@ -109,21 +109,17 @@ def live_rows_into(masks, n_pairs: int, scratch: np.ndarray, rows: np.ndarray) -
     written into flat float64 buffers of at least B·2^N entries: a (B,
     2**n_pairs) view of rows.  A row depends on z only.
 
-    One factor table is one take.  With more, the partial products of the
-    factor rows (see encoding_tables) alternate between rows and scratch, the
-    last in rows, and each factor row is taken right after the product it
-    multiplies, so every intermediate fits in B·2^N floats for any
-    STAGE_BITS.  The encoder keeps its own grouping, the widest factor
-    innermost, not the transform's even split (_stage_bits), which made a
-    block at N = 7 or 8 take 15–40% longer on a 2-core box.  Every z_i is in
+    The partial products of the factor rows (see encoding_tables) alternate
+    between rows and scratch, the last in rows, and each factor row is taken
+    right after the product it multiplies, so every intermediate fits in
+    B·2^N floats for any STAGE_BITS.  The encoder keeps its own grouping, the
+    widest factor innermost, not the transform's even split (_stage_bits),
+    which made a block at N = 7 or 8 take 15–40% longer on a 2-core box.  Every z_i is in
     range, and "clip" lets take write straight into its out.  einsum, unlike
     a broadcasting ufunc, allocates no buffer of its own."""
     z = masks[0]
     tables = encoding_tables(n_pairs)[2]
     count, shift, product = len(z), n_pairs, None
-    if len(tables) == 1:
-        out = rows[: count << n_pairs].reshape(count, 2**n_pairs)
-        return np.take(tables[0], z, axis=0, out=out, mode="clip")
     for i, table in enumerate(tables):
         width = len(table)
         shift -= width.bit_length() - 1

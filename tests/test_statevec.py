@@ -169,7 +169,7 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out-of-range"):
             partial_trace(bell(BellLabel.PHI_PLUS), keep)
 
-    @pytest.mark.parametrize("keep", [[1.5], [True], [np.float64(1.0)]])
+    @pytest.mark.parametrize("keep", [[1.5], [True], [np.float64(1.0)], [1, True], [1, 1.0]])
     def test_rejects_non_integer_keep(self, keep):
         with pytest.raises(ValueError, match=r"^keep must hold integer qubits, got \["):
             partial_trace(g_state(1), keep)
