@@ -31,3 +31,7 @@ code=0
 err=$(python -m densecode roundtrip --n 5 --format json 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$(printf '%s\n' "$err" | tail -n 1)" = "densecode: error: unrecognized arguments: --format json"
+code=0
+err=$(python -m densecode session --n 1 --random 1 --seed -1 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "error: --seed must be in [0, inf] (PRNG seed), got -1"

@@ -154,7 +154,8 @@ class PauliString:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.factors) != self.n:
+        object.__setattr__(self, "n", limits.check("n", self.n, "MAX_QUBITS"))
+        if len(self.factors) != self.n:
             raise ValueError("factors must hold one (z, x) pair per qubit")
         if any(z not in (0, 1) or x not in (0, 1) for z, x in self.factors):
             raise ValueError("exponents must be 0 or 1")
@@ -176,7 +177,8 @@ def pauli_string(message: int, n_pairs: int) -> PauliString:
     Counting bits of the message from the right, bit 2k-2 is the Z exponent
     and bit 2k-1 the X exponent on (1-indexed) qubit k.
     """
-    limits.check_message(message, n_pairs)
+    n_pairs = limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    message = limits.check_message(message, n_pairs)
     factors = tuple(
         ((message >> (2 * k)) & 1, (message >> (2 * k + 1)) & 1) for k in range(n_pairs)
     )

@@ -35,9 +35,7 @@ def von_neumann_entropy(m: DensityMatrix | np.ndarray) -> float:
 
 def holevo_bound(d: int) -> float:
     """log2(d): the most classical information a d-dimensional system carries."""
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-    return math.log2(d)
+    return math.log2(limits.check("d", d, "dimension", 1, math.inf))
 
 
 def _sig12(x: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -229,17 +230,16 @@ def cmd_session(args) -> int:
     messages = args.messages
     if (not messages) == (args.random is None):
         raise UsageError("pass either explicit messages or --random COUNT")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    seed = _usage(limits.check, "--seed", args.seed, "PRNG seed", 0, math.inf)
     if args.random is None:
         _usage(limits.check, "session length", len(messages), "MAX_SESSION_STEPS", 0)
         for m in messages:
             _usage(limits.check_message, m, n)
     else:
         count = _usage(limits.check, "--random", args.random, "MAX_SESSION_STEPS", 0)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         messages = [int(m) for m in rng.integers(0, 4**n, size=count)]
-    transcript = protocol.session(n, messages, args.seed)
+    transcript = protocol.session(n, messages, seed)
     _emit(transcript.to_json(), args.out)
     return 0
 

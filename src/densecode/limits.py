@@ -2,8 +2,9 @@
 
 Every size is a function of N: a 2N-qubit shared state has 4^N amplitudes.
 The memory limits are derived from one byte budget; the two policy caps bound
-output size and run time.  ``check`` is the one comparison with a bound, and
-its error names the input, the bound and the table entry.
+output size and run time.  ``check`` is the one comparison with a bound and
+the one test of every integer argument (counts, qubit indices, bits and
+seeds), and its error names the input, the bound and the table entry.
 """
 
 from numbers import Integral
@@ -44,11 +45,12 @@ MAX_PROTOCOL_PAIRS = 8
 CAPS = {name: cap for name, cap in globals().items() if name.startswith("MAX_")}
 
 
-def check(name: str, value, entry: str, low: int = 1, high: int | None = None) -> int:
-    """``value`` as an int when it is an integer (not a bool) in [low, high];
-    otherwise a ValueError naming the input, the bound and ``entry``.  ``high``
-    defaults to ``CAPS[entry]``; a bound not in the table describes itself in
-    ``entry``."""
+def check(name: str, value, entry: str, low: int = 1, high: int | float | None = None) -> int:
+    """``value`` as an int when it is an integer (not a bool; a numpy integer
+    is taken as int) in [low, high]; otherwise a ValueError naming the input,
+    the bound and ``entry``.  ``high`` defaults to ``CAPS[entry]``, and
+    ``math.inf`` means no upper bound; a bound not in the table describes
+    itself in ``entry``."""
     if high is None:
         high = CAPS[entry]
     if type(value) is int and low <= value <= high:

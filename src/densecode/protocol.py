@@ -10,6 +10,7 @@ densecode.transform), whose 2^N outcomes are all the message can give.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,7 @@ def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutc
     Sampling is inverse-CDF over outcomes in ascending index order from a
     seeded 64-bit PRNG, so a fixed seed and input give a fixed outcome.
     """
+    seed = limits.check("seed", seed, "PRNG seed", 0, math.inf)
     probs = outcome_probabilities(k, n_pairs)
     index = int(_inverse_cdf_sample(np.cumsum(probs), np.random.default_rng(seed).random()))
     return MeasurementOutcome(index, float(probs[index]))
@@ -88,6 +90,7 @@ def measure_generalized_bell(k: Ket, n_pairs: int, seed: int) -> MeasurementOutc
 def sample_measurements(k: Ket, n_pairs: int, shots: int, seed: int) -> np.ndarray:
     """``shots`` independent measurement outcomes drawn from one seeded stream."""
     shots = limits.check("shots", shots, "MAX_SHOTS", 0)
+    seed = limits.check("seed", seed, "PRNG seed", 0, math.inf)
     cdf = np.cumsum(outcome_probabilities(k, n_pairs))
     return _inverse_cdf_sample(cdf, np.random.default_rng(seed).random(shots))
 
@@ -145,8 +148,7 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
     d = 2**n_pairs
     bits = message_bits(n_pairs)
     low, high = encoding_tables(n_pairs)[:2]
-    messages = np.arange(d * d)
-    decoded = np.empty(messages.size, dtype=bool)
+    decoded = np.empty(d * d, dtype=bool)
     sure = (1.0 - DECODE_TOL) * d
     for h in blocks(d, 2 * n_pairs):
         block = slice(h.start * d, h.stop * d)
@@ -154,7 +156,8 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
         z, x = masks
         squares = live_row_squares(masks, n_pairs)
         own = np.take(squares, np.arange(0, squares.size, d) + z)  # each square at (x, z)
-        decoded[block] = (own >= sure) & (bits[x] << 1 | bits[z] == messages[block])
+        messages = np.arange(block.start, block.stop)
+        decoded[block] = (own >= sure) & (bits[x] << 1 | bits[z] == messages)
     failures = np.flatnonzero(~decoded)
     return RoundTripReport(
         n_pairs=n_pairs,
@@ -242,6 +245,7 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
     limits.check("n_pairs", n_pairs, "MAX_PAIRS")
     messages = list(messages)
     limits.check("session length", len(messages), "MAX_SESSION_STEPS", 0)
+    seed = limits.check("seed", seed, "PRNG seed", 0, math.inf)
     bits = message_bits(n_pairs)
     ascending = np.argsort(bits)
     rng = np.random.default_rng(seed)

@@ -12,7 +12,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
@@ -165,11 +164,8 @@ ZX = one_qubit_gate(PAULI_Z @ PAULI_X)  # X then Z; equals i*PAULI_Y
 
 def ket_from_bits(bits) -> Ket:
     """Computational basis state; bits[0] addresses qubit 0, the most significant bit."""
-    bits = list(bits)
-    if not bits:
-        raise ValueError("bits must be nonempty")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
+    bits = [check("bit", b, "basis state", 0, 1) for b in bits]
+    check("bit count", len(bits), "MAX_QUBITS")  # before 2^count amplitudes are allocated
     index = 0
     for b in bits:
         index = (index << 1) | b
@@ -203,14 +199,9 @@ def inner(a: Ket, b: Ket) -> complex:
 def partial_trace(k: Ket, keep) -> DensityMatrix:
     """Reduced density matrix over the kept qubits, in ascending qubit order."""
     n = k.num_qubits
-    keep = list(keep)
-    if not all(isinstance(q, Integral) and not isinstance(q, bool) for q in keep):
-        raise ValueError(f"keep must hold integer qubits, got {keep!r}")
-    kept = sorted(set(keep))
+    kept = sorted({check("keep", q, f"{n}-qubit ket", 0, n - 1) for q in keep})
     if not kept:
         raise ValueError("keep must be nonempty")
-    if any(not 0 <= q < n for q in kept):
-        raise ValueError("keep contains out-of-range qubits")
     if len(kept) == n:
         raise ValueError("keep must be a proper subset of the qubits")
     traced = [q for q in range(n) if q not in kept]
@@ -222,7 +213,7 @@ def partial_trace(k: Ket, keep) -> DensityMatrix:
 def permute_qubits(k: Ket, perm) -> Ket:
     """Relabel qubits: qubit i of the input becomes qubit perm[i] of the output."""
     n = k.num_qubits
-    perm = list(perm)
+    perm = [check("perm", q, f"{n}-qubit ket", 0, n - 1) for q in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError("perm is not a permutation of the qubit positions")
     psi = k.amplitudes.reshape([2] * n).transpose(np.argsort(perm))

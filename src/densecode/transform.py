@@ -246,36 +246,36 @@ def live_row_cdfs(masks: np.ndarray, n_pairs: int, order: np.ndarray) -> np.ndar
 
 
 @cache
-def _gather_tables(n_pairs: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+def _gather_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, shifts) for bell_squares, 2^N entries per part: float
-    diagonal[p, 0, c] ⊕ shifts[x] is part p of Ψ[c, c⊕x], which is entry
-    c·2^N + (c⊕x) = c·(2^N + 1) ⊕ x of a matrix with ``parts`` (1 or 2)
-    float64 parts per entry."""
+    diagonal[p, 0, c] ⊕ shifts[x] is part p (real, imaginary) of Ψ[c, c⊕x],
+    which is entry c·2^N + (c⊕x) = c·(2^N + 1) ⊕ x of a complex matrix."""
     c = np.arange(2**n_pairs)
-    tables = c * ((2**n_pairs + 1) * parts) + np.arange(parts)[:, None, None], c * parts
+    tables = c * ((2**n_pairs + 1) * 2) + np.arange(2)[:, None, None], c * 2
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Squares of every outcome of a C-contiguous real or complex array of 4^N
+    """Squares of every outcome of a C-contiguous complex128 array of 4^N
     entries, in message order in a fresh float64 array: 2^N·|<s_m|ψ>|^2 for a
     ket, |tr(ρ Z^z X^x)|^2 for a matrix ρ.  Blocks of x-rows are gathered
-    into this thread's block buffers, a complex entry as two float64 parts
+    into this thread's block buffers, an entry as its two float64 parts
     (take's "clip" mode writes in place, and every position is in range),
     transformed, squared and scattered: no index array holds more than a block.
     """
+    if psi.dtype != np.complex128:
+        raise ValueError(f"psi must be a complex128 array, got dtype {psi.dtype}")
     d = 2**n_pairs
     flat = psi.reshape(-1).view(np.float64)
-    parts = flat.size // psi.size
-    diagonal, shifts = _gather_tables(n_pairs, parts)
+    diagonal, shifts = _gather_tables(n_pairs)
     bits = message_bits(n_pairs)
     index, rows, product, spare = _block_buffers()
     result = np.empty(d * d)
-    for x in blocks(d, n_pairs + parts - 1):
-        size = parts * d * (x.stop - x.start)
-        at = index[:size].reshape(parts, -1, d)
+    for x in blocks(d, n_pairs + 1):
+        size = 2 * d * (x.stop - x.start)
+        at = index[:size].reshape(2, -1, d)
         # each ufunc's operands are copied to full size first, the second into
         # the spare, since a broadcasting ufunc allocates a buffer of its own
         operand = spare[:size].view(np.int64).reshape(at.shape)
@@ -285,8 +285,7 @@ def bell_squares(psi: np.ndarray, n_pairs: int) -> np.ndarray:
         g = np.take(flat, at, out=rows[:size].reshape(at.shape), mode="clip")
         squares = _walsh_hadamard(g, n_pairs, product, spare)
         np.square(squares, out=squares)
-        for part in squares[1:]:
-            squares[0] += part
+        squares[0] += squares[1]
         np.copyto(at[0], bits[x, None] << 1)
         np.copyto(operand[0], bits)
         np.bitwise_or(at[0], operand[0], out=at[0])

@@ -286,6 +286,20 @@ def test_a_warm_roundtrip_allocates_no_block_array(n):
     assert peak < block_bytes
 
 
+def test_a_warm_roundtrip_allocates_no_message_array():
+    """Each block's decoded messages are compared with the block's own range,
+    so a warm roundtrip_all(8) makes no array of all 4^8 messages (512 KiB)."""
+    for _ in range(2):
+        roundtrip_all(8)
+    tracemalloc.start()
+    try:
+        assert roundtrip_all(8).failures == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
 def test_a_warm_session_block_of_two_factors_allocates_no_block_array():
     """At N = 12 each live row is the product of two 6-bit factor rows, which
     are made in this thread's block buffers, as the product is."""

@@ -11,16 +11,21 @@ import pytest
 
 from densecode import (
     Ket,
+    PauliString,
     basis_matrix,
     decode,
     dense_coding_capacity,
     factorize_s0,
     g_state,
+    holevo_bound,
     interleave_permutation,
+    ket_from_bits,
     limits,
     measure_generalized_bell,
     orthogonal_orbit_count,
     outcome_probabilities,
+    pauli_string,
+    permute_qubits,
     roundtrip_all,
     s0,
     s_state,
@@ -126,6 +131,52 @@ def test_check_returns_integers_and_names_the_entry():
         (lambda: orthogonal_orbit_count(s0(1), 13), "(MAX_ORBIT_PAIRS), got 13"),
         (lambda: interleave_permutation(0), "(MAX_PAIRS), got 0"),
         (lambda: interleave_permutation(-1), "(MAX_PAIRS), got -1"),
+        # every integer argument, not only sizes, goes through limits.check
+        (
+            lambda: pauli_string(3, 2.0),
+            "n_pairs must be an integer in [1, 13] (MAX_PAIRS), got 2.0",
+        ),
+        (lambda: pauli_string(0, 14), "n_pairs must be in [1, 13] (MAX_PAIRS), got 14"),
+        (
+            lambda: pauli_string(3, True),
+            "n_pairs must be an integer in [1, 13] (MAX_PAIRS), got True",
+        ),
+        (
+            lambda: PauliString(True, ((0, 0),)),
+            "n must be an integer in [1, 26] (MAX_QUBITS), got True",
+        ),
+        (lambda: holevo_bound(2.5), "d must be an integer in [1, inf] (dimension), got 2.5"),
+        (lambda: holevo_bound(True), "d must be an integer in [1, inf] (dimension), got True"),
+        (
+            lambda: permute_qubits(s0(2), [0, 1, 2, 3.0]),
+            "perm must be an integer in [0, 3] (4-qubit ket), got 3.0",
+        ),
+        (
+            lambda: permute_qubits(s0(2), [0, 2, 3, True]),
+            "perm must be an integer in [0, 3] (4-qubit ket), got True",
+        ),
+        (
+            lambda: ket_from_bits([1.0, 0]),
+            "bit must be an integer in [0, 1] (basis state), got 1.0",
+        ),
+        # refused before its 2^64 amplitudes are allocated
+        (lambda: ket_from_bits([0] * 64), "bit count must be in [1, 26] (MAX_QUBITS), got 64"),
+        (
+            lambda: measure_generalized_bell(s0(2), 2, 1.5),
+            "seed must be an integer in [0, inf] (PRNG seed), got 1.5",
+        ),
+        (
+            lambda: measure_generalized_bell(s0(2), 2, -1),
+            "seed must be in [0, inf] (PRNG seed), got -1",
+        ),
+        (
+            lambda: sample_measurements(s0(1), 1, 1, -1),
+            "seed must be in [0, inf] (PRNG seed), got -1",
+        ),
+        (
+            lambda: session(1, [0], True),
+            "seed must be an integer in [0, inf] (PRNG seed), got True",
+        ),
     ],
 )
 def test_library_sites_use_the_table(call, entry):

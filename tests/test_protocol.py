@@ -217,6 +217,12 @@ class TestSession:
         for step in transcript.steps:
             assert type(step.message) is int and type(step.success) is bool
 
+    def test_numpy_integer_seed_round_trips_through_json(self):
+        transcript = session(1, [0], np.int64(5))
+        assert type(transcript.seed) is int
+        assert Transcript.from_json(transcript.to_json()) == transcript
+        assert transcript == session(1, [0], 5)
+
     def test_json_shape(self):
         data = session(1, [2], seed=8).to_dict()
         assert set(data) == {"N", "seed", "steps"}

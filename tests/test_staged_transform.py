@@ -141,12 +141,17 @@ def test_encoded_amplitudes_are_real(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_real_ket_probabilities_match_the_complex_cast(n):
-    """A real array goes through the transform as one part, its complex cast
-    (every Ket holds one) as two."""
+    """A real array reaches the transform only as its complex cast, which
+    every Ket holds: bell_squares refuses it by its dtype, and the cast's
+    probabilities are the squared real overlaps with the encoded states."""
     rng = np.random.default_rng(50 + n)
     amps = rng.normal(size=(3, 4**n))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    sampled = np.sort(rng.choice(4**n, size=min(4**n, 64), replace=False))
+    states = encoded_amplitudes(sampled, n)
+    refusal = "^psi must be a complex128 array, got dtype float64$"
     for row in amps:
-        real = transform.bell_squares(row, n) * 2.0**-n
+        with pytest.raises(ValueError, match=refusal):
+            transform.bell_squares(row, n)
         cast = outcome_probabilities(Ket(2 * n, row), n)
-        np.testing.assert_allclose(cast, real, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cast[sampled], (states @ row) ** 2, rtol=0, atol=1e-15)

@@ -166,12 +166,13 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("keep", [{0, 2}, {-1}])
     def test_rejects_out_of_range_keep(self, keep):
-        with pytest.raises(ValueError, match="out-of-range"):
+        with pytest.raises(ValueError, match=r"^keep must be in \[0, 1\] \(2-qubit ket\), got "):
             partial_trace(bell(BellLabel.PHI_PLUS), keep)
 
     @pytest.mark.parametrize("keep", [[1.5], [True], [np.float64(1.0)], [1, True], [1, 1.0]])
     def test_rejects_non_integer_keep(self, keep):
-        with pytest.raises(ValueError, match=r"^keep must hold integer qubits, got \["):
+        wording = r"^keep must be an integer in \[0, 3\] \(4-qubit ket\), got "
+        with pytest.raises(ValueError, match=wording):
             partial_trace(g_state(1), keep)
 
     @given(ket_strategy(3), st.sets(st.integers(min_value=0, max_value=2), min_size=1, max_size=2))

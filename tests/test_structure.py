@@ -47,3 +47,20 @@ def test_the_checker_sees_both_ways_in(tmp_path):
         "protocol.session\n"
     )
     assert _private_uses(source) == ["bellbasis._message_bits", "protocol._blocks"]
+
+
+def test_only_limits_tests_for_integers():
+    """limits.check is the one test of an integer argument, so no other
+    module imports numbers (for numbers.Integral)."""
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "numbers" in names:
+                importers.add(path.name)
+    assert importers == {"limits.py"}
