@@ -24,7 +24,7 @@ from .statevec import (
     permute_qubits,
     tensor,
 )
-from .transform import live_rows_into, message_masks
+from .transform import live_rows_into, message_masks, pauli_masks
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -145,28 +145,28 @@ def s0(n_pairs: int) -> Ket:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Per-qubit (z, x) exponent pairs acting on the first n qubits.
+    """Exponent masks z and x on the first n qubits: bit n-1-k is qubit k (pauli_masks).
 
     On each qubit, X applies before Z (the operator reads Z^z X^x).
     """
 
     n: int
-    factors: tuple[tuple[int, int], ...]
+    z: int
+    x: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", limits.check("n", self.n, "MAX_QUBITS"))
-        if len(self.factors) != self.n:
-            raise ValueError("factors must hold one (z, x) pair per qubit")
-        if any(z not in (0, 1) or x not in (0, 1) for z, x in self.factors):
-            raise ValueError("exponents must be 0 or 1")
+        n = limits.check("n", self.n, "MAX_QUBITS")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "z", limits.check("z", self.z, "2**n - 1", 0, 2**n - 1))
+        object.__setattr__(self, "x", limits.check("x", self.x, "2**n - 1", 0, 2**n - 1))
 
     def tokens(self) -> str:
         """Space-separated 'Z<k>'/'X<k>' tokens, 1-indexed, Z before X per qubit."""
         parts = []
-        for k, (z, x) in enumerate(self.factors, start=1):
-            if z:
+        for k in range(1, self.n + 1):
+            if self.z >> (self.n - k) & 1:
                 parts.append(f"Z{k}")
-            if x:
+            if self.x >> (self.n - k) & 1:
                 parts.append(f"X{k}")
         return " ".join(parts)
 
@@ -175,14 +175,10 @@ def pauli_string(message: int, n_pairs: int) -> PauliString:
     """Sender-side encoding operation for a 2N-bit message.
 
     Counting bits of the message from the right, bit 2k-2 is the Z exponent
-    and bit 2k-1 the X exponent on (1-indexed) qubit k.
+    and bit 2k-1 the X exponent on (1-indexed) qubit k (pauli_masks).
     """
     n_pairs = limits.check("n_pairs", n_pairs, "MAX_PAIRS")
-    message = limits.check_message(message, n_pairs)
-    factors = tuple(
-        ((message >> (2 * k)) & 1, (message >> (2 * k + 1)) & 1) for k in range(n_pairs)
-    )
-    return PauliString(n_pairs, factors)
+    return PauliString(n_pairs, *pauli_masks(limits.check_message(message, n_pairs), n_pairs))
 
 
 def apply_pauli_string(k: Ket, ps: PauliString) -> Ket:
@@ -190,10 +186,10 @@ def apply_pauli_string(k: Ket, ps: PauliString) -> Ket:
     if ps.n > k.num_qubits:
         raise ValueError("Pauli string is longer than the ket")
     out = k
-    for qubit, (z, x) in enumerate(ps.factors):
-        if x:
+    for qubit in range(ps.n):
+        if ps.x >> (ps.n - 1 - qubit) & 1:
             out = apply_single_qubit(out, qubit, PAULI_X)
-        if z:
+        if ps.z >> (ps.n - 1 - qubit) & 1:
             out = apply_single_qubit(out, qubit, PAULI_Z)
     return out
 
@@ -224,7 +220,9 @@ def encoded_amplitudes(messages, n_pairs: int) -> np.ndarray:
 
 def s_state(message: int, n_pairs: int) -> Ket:
     """Generalized Bell state indexed by a 2N-bit message: the sender's Pauli
-    string applied to s0 (see encoded_live_rows), which checks both arguments."""
+    string applied to s0 (see encoded_live_rows)."""
+    n_pairs = limits.check("n_pairs", n_pairs, "MAX_PAIRS")
+    message = limits.check_message(message, n_pairs)
     return Ket(2 * n_pairs, encoded_amplitudes([message], n_pairs)[0])
 
 

@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="draw COUNT seeded random messages instead")
     add_n(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit PRNG seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed, any nonnegative integer")
     add_out(p)
 
     p = sub.add_parser("ghz-compare", help="orbit sizes and capacities: g1 vs GHZ")

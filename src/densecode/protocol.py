@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .bellbasis import pauli_string, s_state
+from .bellbasis import PauliString, s_state
 from .statevec import Ket, json_value
 from .transform import (
     bell_squares,
@@ -254,14 +254,14 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
         sent = messages[block]
         masks = message_masks(sent, n_pairs)
         cdfs = live_row_cdfs(masks, n_pairs, ascending)
-        for m, mask, row in zip(map(int, sent), masks[1], cdfs):
+        for m, z, x, row in zip(map(int, sent), *masks.tolist(), cdfs):
             step_seed = int(rng.integers(0, 2**63))
             k = _inverse_cdf_sample(row, np.random.default_rng(step_seed).random())
-            outcome = int(bits[mask] << 1 | bits[ascending[k]])
+            outcome = int(bits[x] << 1 | bits[ascending[k]])
             steps.append(
                 TranscriptStep(
                     message=m,
-                    pauli=pauli_string(m, n_pairs).tokens(),
+                    pauli=PauliString(n_pairs, z, x).tokens(),
                     qubits_sent=n_pairs,
                     outcome=outcome,
                     success=outcome == m,

@@ -91,7 +91,9 @@ def encoding_tables(n_pairs: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndar
 def message_masks(messages, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """(z, x) masks of each message (see pauli_masks), after checking the
     messages (callers check n_pairs): int64 arrays of shape (len(messages),)."""
-    messages = np.asarray(messages).reshape(-1)
+    messages = np.asarray(messages)
+    if messages.ndim != 1:
+        raise ValueError(f"messages must be a 1-d sequence, got shape {messages.shape}")
     if messages.size:
         if messages.dtype.kind not in "iu":
             raise ValueError(f"messages must be integers, got dtype {messages.dtype}")

@@ -160,7 +160,7 @@ def test_both_encoders_reject_bad_messages_alike(messages):
 
 
 def test_non_integer_messages_are_rejected_not_truncated():
-    with pytest.raises(ValueError, match="messages must be integers"):
+    with pytest.raises(ValueError, match="message must be an integer"):
         s_state(1.5, 1)
     with pytest.raises(ValueError, match="messages must be integers"):
         encoded_amplitudes([1.5], 1)
@@ -169,6 +169,16 @@ def test_non_integer_messages_are_rejected_not_truncated():
     # a uint8 message must not overflow when its masks are shifted up to bit 8
     small = np.array([1], dtype=np.uint8)
     assert np.array_equal(encoded_amplitudes(small, 9)[0], s_state(1, 9).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "call,shape",
+    [(lambda: session(2, [[2]], 1), (1, 1)), (lambda: encoded_amplitudes([[1, 2]], 2), (1, 2))],
+    ids=["session", "encoded_amplitudes"],
+)
+def test_nested_messages_are_refused_not_flattened(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be a 1-d sequence, got shape {shape}")):
+        call()
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])

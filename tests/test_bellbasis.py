@@ -177,7 +177,7 @@ class TestS0:
 class TestPauliString:
     def test_identity_string(self):
         ps = pauli_string(0, 3)
-        assert ps.factors == ((0, 0), (0, 0), (0, 0))
+        assert (ps.n, ps.z, ps.x) == (3, 0, 0)
         assert ps.tokens() == ""
 
     def test_a_string_longer_than_the_ket_is_refused(self):
@@ -186,13 +186,13 @@ class TestPauliString:
 
     def test_message_two_flips_first_qubit(self):
         ps = pauli_string(2, 2)
-        assert ps.factors == ((0, 1), (0, 0))
+        assert (ps.z, ps.x) == (0b00, 0b10)
         assert ps.tokens() == "X1"
         assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(9))
 
     def test_message_three_is_zx_on_first_qubit(self):
         ps = pauli_string(3, 2)
-        assert ps.factors == ((1, 1), (0, 0))
+        assert (ps.z, ps.x) == (0b10, 0b10)
         assert ps.tokens() == "Z1 X1"
         assert equal_up_to_global_phase(apply_pauli_string(s0(2), ps), g_state(10))
 
@@ -200,7 +200,8 @@ class TestPauliString:
         for message in range(64):
             ps = pauli_string(message, 3)
             rebuilt = sum(
-                (z << (2 * k)) | (x << (2 * k + 1)) for k, (z, x) in enumerate(ps.factors)
+                (ps.z >> (2 - k) & 1) << (2 * k) | (ps.x >> (2 - k) & 1) << (2 * k + 1)
+                for k in range(3)
             )
             assert rebuilt == message
 
@@ -218,10 +219,10 @@ class TestPauliString:
             pauli_string(-1, 2)
 
     def test_invalid_factors(self):
-        with pytest.raises(ValueError):
-            PauliString(2, ((0, 0),))
-        with pytest.raises(ValueError):
-            PauliString(1, ((2, 0),))
+        with pytest.raises(ValueError, match=r"z must be in \[0, 3\]"):
+            PauliString(2, 4, 0)
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
+            PauliString(1, 0, 2)
 
 
 class TestSStates:

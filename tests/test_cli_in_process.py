@@ -46,6 +46,14 @@ def test_session_without_seed_gets_the_default(capsys):
     assert capsys.readouterr().out == default
 
 
+def test_session_takes_a_seed_past_64_bits(capsys):
+    seed = 2**64
+    assert main(["session", "--n", "1", "--random", "1", "--seed", str(seed)]) == 0
+    assert Transcript.from_json(capsys.readouterr().out).seed == seed
+    cli._build_parser().subcommands["session"].print_help()
+    assert "any nonnegative integer" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "bad", [["roundtrip", "--bogus"], ["capacity"], ["basis", "--n", "x"], []]
 )

@@ -142,8 +142,24 @@ def test_check_returns_integers_and_names_the_entry():
             "n_pairs must be an integer in [1, 13] (MAX_PAIRS), got True",
         ),
         (
-            lambda: PauliString(True, ((0, 0),)),
+            lambda: PauliString(True, 0, 0),
             "n must be an integer in [1, 26] (MAX_QUBITS), got True",
+        ),
+        (
+            lambda: PauliString(1, True, 1),
+            "z must be an integer in [0, 1] (2**n - 1), got True",
+        ),
+        (
+            lambda: PauliString(1, 1, 1.0),
+            "x must be an integer in [0, 1] (2**n - 1), got 1.0",
+        ),
+        (
+            lambda: s_state(1, None),
+            "n_pairs must be an integer in [1, 13] (MAX_PAIRS), got None",
+        ),
+        (
+            lambda: s_state([2], 2),
+            "message must be an integer in [0, 15] (4**N - 1 for N = 2), got [2]",
         ),
         (lambda: holevo_bound(2.5), "d must be an integer in [1, inf] (dimension), got 2.5"),
         (lambda: holevo_bound(True), "d must be an integer in [1, inf] (dimension), got True"),

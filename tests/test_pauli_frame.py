@@ -36,10 +36,11 @@ def frames(draw):
 
 
 def _apply_on_receiver(k: Ket, e: int, n: int) -> Ket:
-    for qubit, (z, x) in enumerate(pauli_string(e, n).factors):
-        if x:
+    ps = pauli_string(e, n)
+    for qubit in range(n):
+        if ps.x >> (n - 1 - qubit) & 1:
             k = apply_single_qubit(k, n + qubit, PAULI_X)
-        if z:
+        if ps.z >> (n - 1 - qubit) & 1:
             k = apply_single_qubit(k, n + qubit, PAULI_Z)
     return k
 
