@@ -71,7 +71,9 @@ class Tableau:
 
     def stabilizers(self) -> np.ndarray:
         """The stabilizer group in canonical form: the rows (x | z | r) of the
-        reduced row echelon form of the generators, signs carried along."""
+        reduced row echelon form of the generators, signs carried along.  It
+        rewrites the stabilizer rows but not the destabilizers, so measure
+        nothing after it."""
         n = self.n
         rows = list(range(n, 2 * n))
         pivot = 0
@@ -110,8 +112,8 @@ def run_step(n_pairs: int, tokens: str) -> int:
     for k in range(n_pairs):
         t.cnot(k, n_pairs + k)
         t.h(k)
-    z, x = [t.measure(k) for k in range(n_pairs)], [t.measure(n_pairs + k) for k in range(n_pairs)]
-    return sum(z[k] << (2 * k) | x[k] << (2 * k + 1) for k in range(n_pairs))
+    bits = [t.measure(q) for q in range(2 * n_pairs)]
+    return sum(bits[k] << (2 * k) | bits[n_pairs + k] << (2 * k + 1) for k in range(n_pairs))
 
 
 def apply_row(amplitudes: np.ndarray, row: np.ndarray) -> np.ndarray:
