@@ -26,6 +26,10 @@ test "$code" -eq 2
 code=0
 python -m densecode || code=$?
 test "$code" -eq 2
+# an integer flag takes ASCII digits only, as the s0:N selector does
+code=0
+python -m densecode roundtrip --n ٢ || code=$?
+test "$code" -eq 2
 # the usage line wraps with the terminal width: compare the last line
 code=0
 err=$(python -m densecode roundtrip --n 5 --format json 2>&1 >/dev/null) || code=$?

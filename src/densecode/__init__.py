@@ -2,20 +2,14 @@
 Pauli encoding, projective basis measurement, and capacity audits."""
 
 from .statevec import (
-    IDENTITY,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
-    ZX,
     DensityMatrix,
     Ket,
     apply_single_qubit,
     equal_up_to_global_phase,
     hermitian_eigenvalues,
-    inner,
     ket_from_bits,
-    one_qubit_gate,
-    partial_trace,
     permute_qubits,
     pure_density,
     tensor,

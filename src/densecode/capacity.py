@@ -65,7 +65,7 @@ class CapacityReport:
     @classmethod
     def from_dict(cls, data: dict) -> CapacityReport:
         return cls(
-            d_A=json_value(data, "d_A", int),
+            d_A=limits.check("d_A", json_value(data, "d_A", int), "dimension", 1, math.inf),
             entropy_B=float(json_value(data, "S_B", float)),
             entropy_AB=float(json_value(data, "S_AB", float)),
             chi=float(json_value(data, "chi", float)),

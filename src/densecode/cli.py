@@ -46,6 +46,16 @@ def _usage(check, *args):
         raise UsageError(str(exc)) from None
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: ASCII digits after at most one '-', so that a
+    negative value still reaches its limits check.  int() alone would also
+    take blanks, '+', '_' and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
 def format_coefficient(value: complex) -> str:
     """'+1/2'-style exact strings for the magnitudes that occur here."""
     if abs(value.imag) > 1e-10:
@@ -270,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # --n, --format and --seed go only on the subcommands that read them
     def add_n(p):
-        p.add_argument("--n", type=int, default=None, help="transmitted qubits per message")
+        p.add_argument("--n", type=_integer, default=None, help="transmitted qubits per message")
 
     def add_format(p):
         p.add_argument("--format", choices=("json", "table"), default="table")
@@ -292,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="dense-coding capacity report for a state")
     p.set_defaults(run=cmd_capacity)
     p.add_argument("selector", help="g1, ghz4, s0:N or file:PATH (ket JSON)")
-    p.add_argument("--d-a", type=int, default=None, help="sender subsystem dimension")
+    p.add_argument("--d-a", type=_integer, default=None, help="sender subsystem dimension")
     add_out(p)
 
     p = sub.add_parser("factorize", help="Bell-pair decomposition of all 16 g-states")
@@ -302,11 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("session", help="simulate a sender->receiver session")
     p.set_defaults(run=cmd_session)
-    p.add_argument("messages", type=int, nargs="*", help="explicit message values")
-    p.add_argument("--random", type=int, default=None, metavar="COUNT",
+    p.add_argument("messages", type=_integer, nargs="*", help="explicit message values")
+    p.add_argument("--random", type=_integer, default=None, metavar="COUNT",
                    help="draw COUNT seeded random messages instead")
     add_n(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed, any nonnegative integer")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="PRNG seed, any nonnegative integer")
     add_out(p)
 
     p = sub.add_parser("ghz-compare", help="orbit sizes and capacities: g1 vs GHZ")

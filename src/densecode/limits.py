@@ -62,6 +62,7 @@ def check(name: str, value, entry: str, low: int = 1, high: int | float | None =
     return int(value)
 
 
-def check_message(message, n_pairs: int) -> int:
-    """``message`` as an int when it is one of the 4**n_pairs messages."""
-    return check("message", message, f"4**N - 1 for N = {n_pairs}", 0, 4**n_pairs - 1)
+def check_message(message, n_pairs: int, name: str = "message") -> int:
+    """``message`` as an int when it is one of the 4**n_pairs messages; the
+    error calls it ``name``."""
+    return check(name, message, f"4**N - 1 for N = {n_pairs}", 0, 4**n_pairs - 1)

@@ -207,18 +207,19 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, data: dict) -> Transcript:
-        n_pairs = json_value(data, "N", int)
+        n_pairs = limits.check("N", json_value(data, "N", int), "MAX_PAIRS")
+        seed = limits.check("seed", json_value(data, "seed", int), "PRNG seed", 0, math.inf)
         steps = tuple(
             TranscriptStep(
-                message=json_value(s, "message", int),
+                message=limits.check_message(json_value(s, "message", int), n_pairs),
                 pauli=json_value(s, "pauli", str),
                 qubits_sent=n_pairs,
-                outcome=json_value(s, "outcome", int),
+                outcome=limits.check_message(json_value(s, "outcome", int), n_pairs, "outcome"),
                 success=json_value(s, "success", bool),
             )
             for s in data["steps"]
         )
-        return cls(n_pairs, json_value(data, "seed", int), steps)
+        return cls(n_pairs, seed, steps)
 
     @classmethod
     def from_json(cls, text: str) -> Transcript:

@@ -144,22 +144,11 @@ class DensityMatrix:
         return m
 
 
-def one_qubit_gate(entries) -> np.ndarray:
-    """Validate a 2x2 unitary and return it as a read-only array."""
-    g = np.array(entries, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError("a one-qubit gate must be 2x2")
-    if float(np.max(np.abs(g.conj().T @ g - np.eye(2)))) > NORM_TOL:
-        raise ValueError("gate is not unitary")
-    g.setflags(write=False)
-    return g
-
-
-IDENTITY = one_qubit_gate([[1, 0], [0, 1]])
-PAULI_X = one_qubit_gate([[0, 1], [1, 0]])
-PAULI_Y = one_qubit_gate([[0, -1j], [1j, 0]])
-PAULI_Z = one_qubit_gate([[1, 0], [0, -1]])
-ZX = one_qubit_gate(PAULI_Z @ PAULI_X)  # X then Z; equals i*PAULI_Y
+# the sender's two gates (apply_pauli_string), read-only
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_X.setflags(write=False)
+PAULI_Z.setflags(write=False)
 
 
 def ket_from_bits(bits) -> Ket:
@@ -175,8 +164,10 @@ def ket_from_bits(bits) -> Ket:
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product with a's qubits more significant than b's."""
-    return Ket(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    """Tensor product with a's qubits more significant than b's; the qubit
+    count is checked before the product is allocated."""
+    n = check("num_qubits", a.num_qubits + b.num_qubits, "MAX_QUBITS")
+    return Ket(n, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_single_qubit(k: Ket, qubit: int, gate: np.ndarray) -> Ket:
@@ -187,27 +178,6 @@ def apply_single_qubit(k: Ket, qubit: int, gate: np.ndarray) -> Ket:
     psi = np.tensordot(np.asarray(gate, dtype=complex), psi, axes=([1], [qubit]))
     psi = np.moveaxis(psi, 0, qubit)
     return Ket(n, psi.reshape(-1))
-
-
-def inner(a: Ket, b: Ket) -> complex:
-    """<a|b>, conjugate-linear in a."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("kets have different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def partial_trace(k: Ket, keep) -> DensityMatrix:
-    """Reduced density matrix over the kept qubits, in ascending qubit order."""
-    n = k.num_qubits
-    kept = sorted({check("keep", q, f"{n}-qubit ket", 0, n - 1) for q in keep})
-    if not kept:
-        raise ValueError("keep must be nonempty")
-    if len(kept) == n:
-        raise ValueError("keep must be a proper subset of the qubits")
-    traced = [q for q in range(n) if q not in kept]
-    psi = k.amplitudes.reshape([2] * n)
-    psi = np.transpose(psi, kept + traced).reshape(2 ** len(kept), -1)
-    return DensityMatrix(psi @ psi.conj().T)
 
 
 def permute_qubits(k: Ket, perm) -> Ket:

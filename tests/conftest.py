@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from densecode import Ket
+from densecode import DensityMatrix, Ket
 from densecode.bellbasis import encoded_live_rows
 from densecode.transform import pauli_masks
 
@@ -30,6 +30,16 @@ def random_ket(rng: np.random.Generator, num_qubits: int) -> Ket:
     """Seeded random normalized ket (for loops where hypothesis is overkill)."""
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return Ket(num_qubits, amps / np.linalg.norm(amps))
+
+
+def partial_trace(k: Ket, keep) -> DensityMatrix:
+    """Reference reduced density matrix over the kept qubits, in ascending
+    qubit order; it checks no arguments."""
+    n = k.num_qubits
+    kept = sorted(keep)
+    traced = [q for q in range(n) if q not in kept]
+    psi = k.amplitudes.reshape([2] * n).transpose(kept + traced).reshape(2 ** len(kept), -1)
+    return DensityMatrix(psi @ psi.conj().T)
 
 
 def assert_signed_parities(n: int) -> None:

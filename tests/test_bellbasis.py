@@ -18,7 +18,6 @@ from densecode import (
     ghz4,
     ghz_family,
     interleave_permutation,
-    partial_trace,
     pauli_string,
     permute_qubits,
     s0,
@@ -28,6 +27,8 @@ from densecode import (
 )
 from densecode.bellbasis import BellLabel, GhzLabel, PauliString
 from densecode.transform import message_bits, pauli_masks
+
+from conftest import partial_trace
 
 # Frozen expectations for the four Bell states: (basis index, sign) terms,
 # coefficient magnitude 1/sqrt(2).

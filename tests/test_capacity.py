@@ -12,13 +12,12 @@ from densecode import (
     holevo_bound,
     ket_from_bits,
     orthogonal_orbit_count,
-    partial_trace,
     pure_density,
     s_state,
     von_neumann_entropy,
 )
 
-from conftest import random_ket
+from conftest import partial_trace, random_ket
 
 
 class TestVonNeumannEntropy:

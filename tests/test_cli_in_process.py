@@ -123,6 +123,25 @@ def test_s0_pair_count_takes_ascii_decimal_digits_only(capsys, selector):
     assert capsys.readouterr().err == f"error: bad selector {selector!r}\n"
 
 
+@pytest.mark.parametrize("value", ["٢", "+2", " 2", "1_0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "--n", "{}"],
+        ["session", "--n", "1", "--random", "1", "--seed", "{}"],
+        ["session", "--n", "1", "--random", "{}"],
+        ["session", "--n", "1", "{}"],
+        ["capacity", "g1", "--d-a", "{}"],
+    ],
+)
+def test_integer_flags_take_ascii_decimal_digits_only(capsys, argv, value):
+    """The s0:N selector's rule, with one leading '-' allowed."""
+    assert main([arg.format(value) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": invalid integer value: {value!r}\n")
+
+
 def test_capacity_pair_count_error_names_the_limit(capsys):
     assert main(["capacity", "s0:14"]) == 2
     assert capsys.readouterr().err == "error: s0:N must be in [1, 12] (MAX_CAPACITY_PAIRS), got 14\n"

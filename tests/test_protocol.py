@@ -271,6 +271,27 @@ def test_from_dict_takes_only_json_types(cls, path, bad):
         cls.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "cls, path, bad, entry",
+    [
+        (Transcript, ("N",), -1, r"[1, 13] (MAX_PAIRS)"),
+        (Transcript, ("seed",), -3, r"[0, inf] (PRNG seed)"),
+        (Transcript, ("steps", 0, "message"), 99, r"[0, 3] (4**N - 1 for N = 1)"),
+        (Transcript, ("steps", 0, "outcome"), -1, r"[0, 3] (4**N - 1 for N = 1)"),
+        (CapacityReport, ("d_A",), -4, r"[1, inf] (dimension)"),
+    ],
+)
+def test_from_dict_refuses_out_of_range_values_by_name(cls, path, bad, entry):
+    data = copy.deepcopy(_GOOD[cls])
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError) as raised:
+        cls.from_dict(data)
+    assert str(raised.value) == f"{path[-1]} must be in {entry}, got {bad}"
+
+
 def test_pauli_tokens_z_before_x_per_qubit():
     transcript = session(2, [15], seed=0)
     assert transcript.steps[0].pauli == "Z1 X1 Z2 X2"
