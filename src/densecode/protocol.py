@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .bellbasis import PauliString, s_state
+from .bellbasis import pauli_string, s_state
 from .statevec import Ket, json_value
 from .transform import (
     bell_squares,
@@ -170,21 +170,10 @@ def roundtrip_all(n_pairs: int) -> RoundTripReport:
 
 @dataclass(frozen=True)
 class TranscriptStep:
-    """One message: encoding applied, qubits handed over, measured index."""
+    """One message and the index the receiver measured for it."""
 
     message: int
-    pauli: str
-    qubits_sent: int
     outcome: int
-    success: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "message": self.message,
-            "pauli": self.pauli,
-            "outcome": self.outcome,
-            "success": self.success,
-        }
 
 
 @dataclass(frozen=True)
@@ -196,10 +185,19 @@ class Transcript:
     steps: tuple[TranscriptStep, ...]
 
     def to_dict(self) -> dict:
+        """Each step's pauli (pauli_string) and success come from its message and outcome."""
         return {
             "N": self.n_pairs,
             "seed": self.seed,
-            "steps": [step.to_dict() for step in self.steps],
+            "steps": [
+                {
+                    "message": s.message,
+                    "pauli": pauli_string(s.message, self.n_pairs).tokens(),
+                    "outcome": s.outcome,
+                    "success": s.outcome == s.message,
+                }
+                for s in self.steps
+            ],
         }
 
     def to_json(self) -> str:
@@ -207,19 +205,26 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, data: dict) -> Transcript:
+        """The transcript ``data`` holds, refused unless to_dict would write
+        each step's pauli and success as given; other keys are ignored."""
         n_pairs = limits.check("N", json_value(data, "N", int), "MAX_PAIRS")
         seed = limits.check("seed", json_value(data, "seed", int), "PRNG seed", 0, math.inf)
-        steps = tuple(
+        steps = data["steps"]
+        transcript = cls(n_pairs, seed, tuple(
             TranscriptStep(
-                message=limits.check_message(json_value(s, "message", int), n_pairs),
-                pauli=json_value(s, "pauli", str),
-                qubits_sent=n_pairs,
-                outcome=limits.check_message(json_value(s, "outcome", int), n_pairs, "outcome"),
-                success=json_value(s, "success", bool),
+                limits.check_message(json_value(s, "message", int), n_pairs),
+                limits.check_message(json_value(s, "outcome", int), n_pairs, "outcome"),
             )
-            for s in data["steps"]
-        )
-        return cls(n_pairs, seed, steps)
+            for s in steps
+        ))
+        for i, (given, written) in enumerate(zip(steps, transcript.to_dict()["steps"])):
+            for key, kind in (("pauli", str), ("success", bool)):
+                if json_value(given, key, kind) != written[key]:
+                    raise ValueError(
+                        f"steps[{i}].{key} must be {written[key]!r} for message "
+                        f"{written['message']} and outcome {written['outcome']}, got {given[key]!r}"
+                    )
+        return transcript
 
     @classmethod
     def from_json(cls, text: str) -> Transcript:
@@ -231,8 +236,8 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
 
     Every step consumes a fresh shared resource state.  "Sending" the N
     qubits is a custody change only: a single process holds the joint
-    state, so the transcript records the handover count instead of moving
-    data.  Messages are encoded from their masks (message_masks), checked
+    state, so nothing moves, and the transcript's N is each step's handover
+    count.  Messages are encoded from their masks (message_masks), checked
     and measured in blocks, on their live rows, as in roundtrip_all, whose
     Parseval check serves as the sampler's.  A step samples the outcomes
     bits[x] << 1 | bits[z] of its live row x in ascending order (z in
@@ -255,17 +260,8 @@ def session(n_pairs: int, messages, seed: int) -> Transcript:
         sent = messages[block]
         masks = message_masks(sent, n_pairs)
         cdfs = live_row_cdfs(masks, n_pairs, ascending)
-        for m, z, x, row in zip(map(int, sent), *masks.tolist(), cdfs):
+        for m, x, row in zip(map(int, sent), masks[1].tolist(), cdfs):
             step_seed = int(rng.integers(0, 2**63))
             k = _inverse_cdf_sample(row, np.random.default_rng(step_seed).random())
-            outcome = int(bits[x] << 1 | bits[ascending[k]])
-            steps.append(
-                TranscriptStep(
-                    message=m,
-                    pauli=PauliString(n_pairs, z, x).tokens(),
-                    qubits_sent=n_pairs,
-                    outcome=outcome,
-                    success=outcome == m,
-                )
-            )
+            steps.append(TranscriptStep(m, int(bits[x] << 1 | bits[ascending[k]])))
     return Transcript(n_pairs, seed, tuple(steps))

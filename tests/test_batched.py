@@ -318,7 +318,7 @@ def test_a_warm_session_block_of_two_factors_allocates_no_block_array():
         session(12, messages, seed=0)
     tracemalloc.start()
     try:
-        assert all(s.success for s in session(12, messages, seed=0).steps)
+        assert all(s.outcome == s.message for s in session(12, messages, seed=0).steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,7 +331,7 @@ def test_a_session_at_the_pair_cap_allocates_no_4_to_the_n_array():
     assert session(13, range(5), seed=0) == session(13, range(5), seed=0)
     tracemalloc.start()
     try:
-        assert all(s.success for s in session(13, range(5), seed=0).steps)
+        assert all(s.outcome == s.message for s in session(13, range(5), seed=0).steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,7 +454,7 @@ def test_session_matches_the_per_message_path(n, count):
         n, messages, 31
     )
     assert [s.message for s in transcript.steps] == messages
-    assert all(s.success for s in transcript.steps)
+    assert all(s.outcome == s.message for s in transcript.steps)
 
 
 def _corrupt_message_3(monkeypatch, share=0.5):
@@ -503,10 +503,10 @@ def test_session_samples_a_superposed_live_row(monkeypatch):
         k = superposed if m == 3 else encode(m, 2)
         want.append(measure_generalized_bell(k, 2, int(rng.integers(0, 2**63))).index)
     _corrupt_message_3(monkeypatch)
-    steps = session(2, messages, seed=4).steps
-    assert [s.outcome for s in steps] == want
-    assert {s.outcome for s in steps[1:-1]} == {2, 3}
-    assert [s.success for s in steps] == [s.outcome == s.message for s in steps]
+    steps = session(2, messages, seed=4).to_dict()["steps"]
+    assert [s["outcome"] for s in steps] == want
+    assert {s["outcome"] for s in steps[1:-1]} == {2, 3}
+    assert [s["success"] for s in steps] == [s["outcome"] == s["message"] for s in steps]
 
 
 def test_failed_roundtrip_exits_1(monkeypatch, capsys):
@@ -531,7 +531,7 @@ def test_clean_blocks_are_never_put_back(monkeypatch):
         raise AssertionError("a clean block went through check_amplitudes")
 
     monkeypatch.setattr(transform, "check_amplitudes", never)
-    assert all(s.success for s in session(3, range(64), seed=1).steps)
+    assert all(s.outcome == s.message for s in session(3, range(64), seed=1).steps)
     for n in (1, 5, 7):
         assert roundtrip_all(n).failures == ()
 

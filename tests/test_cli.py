@@ -222,7 +222,7 @@ class TestSessionCommand:
         assert code == 0
         transcript = Transcript.from_json(path.read_text())
         assert len(transcript.steps) == 10
-        assert all(step.success for step in transcript.steps)
+        assert all(step.outcome == step.message for step in transcript.steps)
 
     def test_explicit_messages_echo_back(self, capsys):
         code, out, _ = run(capsys, "session", "--n", "2", *[str(m) for m in range(16)])

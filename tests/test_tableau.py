@@ -29,8 +29,8 @@ from tableau import Tableau, apply_row, run_step, s0_tableau
 def test_session_steps_agree_with_the_tableau(n, data):
     messages = data.draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=5))
     seed = data.draw(st.integers(0, 2**64))
-    for step in session(n, messages, seed).steps:
-        assert run_step(n, step.pauli) == step.outcome == step.message
+    for step in session(n, messages, seed).to_dict()["steps"]:
+        assert run_step(n, step["pauli"]) == step["outcome"] == step["message"]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_PAIRS + 1))
