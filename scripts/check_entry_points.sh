@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs `python -m densecode` and the experiment scripts as processes: every
 # golden command diffed against its file under tests/golden, then the exit code
-# 2 of each usage error.
+# 2 of each usage error, and the last stderr line of those the README shows.
 # Run from the repository root: bash scripts/check_entry_points.sh
 set -eo pipefail
 export PYTHONPATH=src
@@ -21,9 +21,6 @@ code=0
 python -m densecode roundtrip --n 9 || code=$?
 test "$code" -eq 2
 code=0
-python -m densecode session --n 14 --random 1 || code=$?
-test "$code" -eq 2
-code=0
 python -m densecode || code=$?
 test "$code" -eq 2
 # an integer flag takes ASCII digits only, as the s0:N selector does
@@ -35,6 +32,23 @@ code=0
 err=$(python -m densecode roundtrip --n 5 --format json 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$(printf '%s\n' "$err" | tail -n 1)" = "densecode: error: unrecognized arguments: --format json"
+# the README Limits block: each out-of-range value and its one error line
+code=0
+err=$(python -m densecode capacity s0:13 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "error: s0:N must be in [1, 12] (MAX_CAPACITY_PAIRS), got 13"
+code=0
+err=$(python -m densecode session --n 2 --random 1000000000000000 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "error: --random must be in [0, 524288] (MAX_SESSION_STEPS), got 1000000000000000"
+code=0
+err=$(python -m densecode session --n 1 0 4 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "error: message must be in [0, 3] (4**N - 1 for N = 1), got 4"
+code=0
+err=$(python -m densecode session --n 14 --random 1 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$(printf '%s\n' "$err" | tail -n 1)" = "error: --n must be in [1, 13] (MAX_PAIRS), got 14"
 code=0
 err=$(python -m densecode session --n 1 --random 1 --seed -1 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2

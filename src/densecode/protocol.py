@@ -209,7 +209,10 @@ class Transcript:
         each step's pauli and success as given; other keys are ignored."""
         n_pairs = limits.check("N", json_value(data, "N", int), "MAX_PAIRS")
         seed = limits.check("seed", json_value(data, "seed", int), "PRNG seed", 0, math.inf)
-        steps = data["steps"]
+        steps = data.get("steps")
+        if type(steps) is not list or any(type(s) is not dict for s in steps):
+            raise ValueError(f"steps must be a JSON array of objects, got {steps!r}")
+        limits.check("session length", len(steps), "MAX_SESSION_STEPS", 0)
         transcript = cls(n_pairs, seed, tuple(
             TranscriptStep(
                 limits.check_message(json_value(s, "message", int), n_pairs),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from densecode import Transcript
 from densecode.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +41,12 @@ def test_stdout_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("session_")))
+def test_session_golden_reads_back_byte_for_byte(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert Transcript.from_json(text).to_json() == text
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 from densecode import (
     Ket,
     PauliString,
+    Transcript,
     basis_matrix,
     decode,
     dense_coding_capacity,
@@ -269,6 +270,17 @@ def test_session_length_is_checked_in_the_library(monkeypatch):
     assert len(session(1, [0, 3], 0).steps) == 2
     with pytest.raises(ValueError) as info:
         session(1, [0, 3, 1], 0)
+    assert str(info.value) == "session length must be in [0, 2] (MAX_SESSION_STEPS), got 3"
+
+
+def test_transcript_length_is_checked_as_session_checks_it(monkeypatch):
+    monkeypatch.setitem(limits.CAPS, "MAX_SESSION_STEPS", 2)
+    text = session(1, [0, 3], 0).to_json()
+    assert Transcript.from_json(text).to_json() == text
+    data = json.loads(text)
+    data["steps"].append(data["steps"][0])
+    with pytest.raises(ValueError) as info:
+        Transcript.from_dict(data)
     assert str(info.value) == "session length must be in [0, 2] (MAX_SESSION_STEPS), got 3"
 
 

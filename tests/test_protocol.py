@@ -1,7 +1,9 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densecode import (
     CapacityReport,
@@ -14,6 +16,7 @@ from densecode import (
     ket_from_bits,
     measure_generalized_bell,
     outcome_probabilities,
+    pauli_string,
     roundtrip_all,
     s0,
     s_state,
@@ -23,6 +26,7 @@ from densecode import (
     table2_decode,
     table2_encode,
 )
+from densecode.limits import MAX_PAIRS
 
 from conftest import random_ket
 
@@ -291,6 +295,60 @@ def test_from_dict_refuses_out_of_range_values_by_name(cls, path, bad, entry):
     with pytest.raises(ValueError) as raised:
         cls.from_dict(data)
     assert str(raised.value) == f"{path[-1]} must be in {entry}, got {bad}"
+
+
+@pytest.mark.parametrize(
+    "steps", ["ab", {"message": 1}, [5], None], ids=["string", "object", "number", "missing"]
+)
+def test_from_dict_refuses_malformed_steps_by_name(steps):
+    data = {"N": 1, "seed": 2}
+    if steps is not None:
+        data["steps"] = steps
+    with pytest.raises(ValueError, match=r"^steps must be a JSON array of objects, got "):
+        Transcript.from_dict(data)
+
+
+def test_a_transcript_that_contradicts_itself_is_refused():
+    text = (
+        '{"N": 1, "seed": 0, "steps": '
+        '[{"message": 3, "pauli": "Q7", "outcome": 1, "success": true}]}'
+    )
+    with pytest.raises(ValueError) as raised:
+        Transcript.from_json(text)
+    assert str(raised.value) == (
+        "steps[0].pauli must be 'Z1 X1' for message 3 and outcome 1, got 'Q7'"
+    )
+    data = copy.deepcopy(_GOOD[Transcript])
+    data["steps"][0]["success"] = False
+    with pytest.raises(ValueError) as raised:
+        Transcript.from_dict(data)
+    assert str(raised.value) == (
+        "steps[0].success must be True for message 3 and outcome 3, got False"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, MAX_PAIRS + 1))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_transcript_reads_back_only_as_written(n, data):
+    """A seeded session reads back byte for byte, and so does a failed step;
+    one step's pauli taken from another message, or its success flipped, is
+    refused by the step's index and field."""
+    messages = data.draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=5))
+    text = session(n, messages, data.draw(st.integers(0, 2**64))).to_json()
+    assert Transcript.from_json(text).to_json() == text
+    i = data.draw(st.integers(0, len(messages) - 1))
+    step = json.loads(text)["steps"][i]
+    other = data.draw(st.integers(0, 4**n - 1).filter(lambda m: m != step["message"]))
+    spoils = {"pauli": pauli_string(other, n).tokens(), "success": not step["success"]}
+    for key, value in spoils.items():
+        spoiled = json.loads(text)
+        spoiled["steps"][i][key] = value
+        with pytest.raises(ValueError, match=rf"^steps\[{i}\]\.{key} must be {step[key]!r} "):
+            Transcript.from_dict(spoiled)
+    failed = json.loads(text)
+    failed["steps"][i].update(outcome=other, success=False)
+    assert Transcript.from_dict(failed).to_dict() == failed
 
 
 def test_pauli_tokens_z_before_x_per_qubit():
