@@ -251,9 +251,6 @@ _GOOD = {
         (Transcript, ("N",), 1.0),
         (Transcript, ("seed",), 2.9),
         (Transcript, ("seed",), "2"),
-        (Transcript, ("steps",), "ab"),
-        (Transcript, ("steps",), {"message": 1}),
-        (Transcript, ("steps",), [5]),
         (Transcript, ("steps", 0, "message"), "3"),
         (Transcript, ("steps", 0, "message"), False),
         (Transcript, ("steps", 0, "pauli"), 5),
@@ -266,6 +263,9 @@ _GOOD = {
         (CapacityReport, ("S_AB",), None),
         (CapacityReport, ("chi",), True),
         (CapacityReport, ("holevo",), [4.0]),
+        (Transcript, ("steps",), "ab"),
+        (Transcript, ("steps",), {"message": 1}),
+        (Transcript, ("steps",), [5]),
     ],
 )
 def test_from_dict_takes_only_json_types(cls, path, bad):
