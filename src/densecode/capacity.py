@@ -25,8 +25,6 @@ def _entropy_bits(probabilities) -> float:
 
 def von_neumann_entropy(m: DensityMatrix | np.ndarray) -> float:
     """S = -sum(p * log2 p) over the eigenvalues, in bits."""
-    if not isinstance(m, DensityMatrix):
-        m = DensityMatrix(m)
     eigs = hermitian_eigenvalues(m)
     if eigs[-1] < -NORM_TOL:
         raise ValueError(f"negative eigenvalue {eigs[-1]}; not a density matrix")
