@@ -195,7 +195,7 @@ def _resolve_capacity_state(selector: str, d_a_flag: int | None) -> tuple[Ket, i
             state = Ket.from_dict(json.loads(path.read_text()))
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed state in {path}: {exc}") from exc
         if d_a_flag is None and state.num_qubits % 2:
             raise UsageError("state has an odd qubit count; pass --d-a explicitly")

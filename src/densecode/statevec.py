@@ -51,7 +51,8 @@ class Ket:
 
     @classmethod
     def from_dict(cls, data: dict) -> Ket:
-        return cls(data["num_qubits"], _complex_from_pairs(data["amplitudes"]))
+        n = _json_field(data, "num_qubits")
+        return cls(n, _complex_from_pairs(_json_field(data, "amplitudes")))
 
 
 def _complex_from_pairs(pairs) -> np.ndarray:
@@ -74,11 +75,19 @@ def _complex_from_pairs(pairs) -> np.ndarray:
 _JSON_TYPES = {int: "integer", bool: "true or false", float: "number", str: "string"}
 
 
+def _json_field(data: dict, key: str):
+    """data[key], or a ValueError naming the key when it is missing."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{key} is missing") from None
+
+
 def json_value(data: dict, key: str, kind: type):
     """data[key] when its JSON type is ``kind`` (int, bool, float or str),
     else a ValueError naming the key: no coercion, a bool is not an integer,
     and a float also takes a JSON integer."""
-    value = data[key]
+    value = _json_field(data, key)
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise ValueError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
@@ -137,8 +146,8 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> DensityMatrix:
-        m = cls(np.array([_complex_from_pairs(row) for row in data["entries"]]))
-        dim = data["dim"]
+        m = cls(np.array([_complex_from_pairs(row) for row in _json_field(data, "entries")]))
+        dim = _json_field(data, "dim")
         if type(dim) is not int or dim != m.dim:
             raise ValueError(f"dim must be the JSON integer {m.dim}, got {dim!r}")
         return m

@@ -132,6 +132,9 @@ class TestCapacityCommand:
             assert code == 2
             assert out == ""
             assert err.startswith(f"error: malformed state in {path}: num_qubits ")
+        path.write_text('{"amplitudes": [[1, 0], [0, 0]]}')
+        want = f"error: malformed state in {path}: num_qubits is missing\n"
+        assert run(capsys, "capacity", f"file:{path}", "--d-a", "2") == (2, "", want)
 
     @pytest.mark.parametrize(
         "amplitudes",

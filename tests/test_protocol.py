@@ -300,6 +300,20 @@ def test_from_dict_refuses_out_of_range_values_by_name(cls, path, bad, entry):
     assert str(raised.value) == f"{path[-1]} must be in {entry}, got {bad}"
 
 
+@pytest.mark.parametrize(
+    "cls, path",
+    [(Transcript, ("N",)), (Transcript, ("steps", 0, "outcome")), (CapacityReport, ("S_B",))],
+)
+def test_from_dict_names_a_missing_field(cls, path):
+    data = copy.deepcopy(_GOOD[cls])
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(ValueError, match=f"^{path[-1]} is missing$"):
+        cls.from_dict(data)
+
+
 def test_from_dict_refuses_a_transcript_without_steps():
     data = copy.deepcopy(_GOOD[Transcript])
     del data["steps"]

@@ -365,6 +365,18 @@ def test_from_dict_takes_only_json_integers(count):
 
 
 @pytest.mark.parametrize(
+    "cls, key",
+    [(Ket, "num_qubits"), (Ket, "amplitudes"), (DensityMatrix, "dim"), (DensityMatrix, "entries")],
+)
+def test_from_dict_names_a_missing_field(cls, key):
+    state = ket_from_bits([0]) if cls is Ket else DensityMatrix(np.eye(2) / 2)
+    data = state.to_dict()
+    del data[key]
+    with pytest.raises(ValueError, match=f"^{key} is missing$"):
+        cls.from_dict(data)
+
+
+@pytest.mark.parametrize(
     "amplitudes",
     [
         [["1", "0"], ["0", "0"]],  # numeric strings are not numbers
