@@ -24,7 +24,9 @@ MAX_PAIRS = MAX_QUBITS // 2
 # the dense basis: 4^N rows of 4^N amplitudes
 MAX_BASIS_PAIRS = MAX_QUBITS // 4
 # a pure-state capacity report holds about three 2N-qubit kets: the ket, its
-# copy reshaped for the SVD, and the SVD's workspace
+# copy reshaped for the SVD, and the SVD's workspace.  It bounds memory, not
+# time: `densecode capacity s0:N` takes 0.7-1.5 s at N = 10, 3.5-3.6 s at 11
+# and 37 s at 12 (668 MB peak RSS; 2-core box)
 MAX_CAPACITY_PAIRS = ((BYTE_BUDGET // (3 * AMPLITUDE_BYTES)).bit_length() - 1) // 2
 # measuring a 2N-qubit ket: the ket and its 4^N outcome probabilities
 MAX_MEASURE_PAIRS = ((BYTE_BUDGET // (AMPLITUDE_BYTES + OUTCOME_BYTES)).bit_length() - 1) // 2
