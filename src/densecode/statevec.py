@@ -205,7 +205,7 @@ def pure_density(k: Ket) -> DensityMatrix:
 
 
 def hermitian_eigenvalues(m: DensityMatrix | np.ndarray) -> np.ndarray:
-    """All real eigenvalues of a density matrix, descending.
+    """All real eigenvalues of a DensityMatrix, descending.
 
     An array is read as a DensityMatrix, whose checks it must pass.  Cyclic
     Jacobi rotations are swept over the exactly Hermitian entries until the
